@@ -43,7 +43,7 @@ _GRID_KEYS = {
     "catenoid": {"n_height": 2, "n_theta": 4},
     "lambda0": {},
     "ms": {"mesh": 16},
-    "threshold": {"mesh": 16, "scan_points": 100},
+    "threshold": {"mesh": 16},
     "annulus": {"levels": 5, "n_theta": 8, "trials": 1},
     "oval": {"n": 64},
 }
@@ -282,9 +282,7 @@ def _run_threshold(config: RunConfig):
         for L in np.linspace(lo, hi, count):
             ms = thresholds.ms_piece_for_lower_length(float(L), slab)
             unit = ms.unit_piece()
-            mu1 = stability.lowest_jacobi_eigenvalue(
-                unit, mesh=mesh, method="fd"
-            ).lowest_eigenvalue
+            mu1 = stability.lowest_jacobi_eigenvalue(unit, mesh=mesh).lowest_eigenvalue
             rows.append(
                 {
                     "L_minus": float(L),

@@ -15,7 +15,8 @@ rotationally symmetric Dirichlet problem for the Jacobi operator
 
     -u'' - 2 sech^2(s) u = mu cosh^2(s) u      on (a, b), u(a) = u(b) = 0
 
-in the conformal height coordinate of the unit catenoid.  Sign of the lowest
+in the conformal height coordinate of the unit catenoid, discretized as a
+symmetric tridiagonal finite-difference eigenproblem.  Sign of the lowest
 eigenvalue classifies the piece: stable (> 0), marginal (= 0), unstable (< 0).
 """
 
@@ -99,7 +100,6 @@ class JacobiSpectrumResult:
     eigenfunction_samples: np.ndarray
     mesh_size: int
     nodes: np.ndarray = field(repr=False, default=None)
-    method: str = "shooting"
 
 
 def _check_piece(piece: CatenoidPiece):
@@ -107,130 +107,51 @@ def _check_piece(piece: CatenoidPiece):
         raise ValueError("Jacobi solver expects a unit-scale piece with offset 0")
 
 
-def _shoot(a: float, b: float, mesh: int, q_half, w_half, mu: float):
-    """Integrate u'' = (q - mu*w) u with u(a)=0, u'(a)=1 by fixed-step RK4.
-
-    q_half, w_half are precomputed on the half-step grid (2*mesh + 1 points).
-    Returns (samples at the mesh nodes, number of interior sign changes).
-    """
-    h = (b - a) / mesh
-    coeff = [float(c) for c in (q_half - mu * w_half)]
-    u, v = 0.0, 1.0
-    samples = [0.0]
-    crossings = 0
-    prev_sign = 0
-    for i in range(mesh):
-        c0 = coeff[2 * i]
-        cm = coeff[2 * i + 1]
-        c1 = coeff[2 * i + 2]
-        k1u, k1v = v, c0 * u
-        u2, v2 = u + 0.5 * h * k1u, v + 0.5 * h * k1v
-        k2u, k2v = v2, cm * u2
-        u3, v3 = u + 0.5 * h * k2u, v + 0.5 * h * k2v
-        k3u, k3v = v3, cm * u3
-        u4, v4 = u + h * k3u, v + h * k3v
-        k4u, k4v = v4, c1 * u4
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        samples.append(u)
-        if i < mesh - 1:  # count strict interior sign changes
-            s = 0 if u == 0.0 else (1 if u > 0.0 else -1)
-            if prev_sign != 0 and s != 0 and s != prev_sign:
-                crossings += 1
-            if s != 0:
-                prev_sign = s
-    return np.asarray(samples), crossings
-
-
 def lowest_jacobi_eigenvalue(
     piece: CatenoidPiece,
     mesh: int = 4096,
-    method: str = "shooting",
+    method: str = "fd",
     angular_mode: int = 0,
 ) -> JacobiSpectrumResult:
     """Lowest Dirichlet eigenvalue of the Jacobi operator on a clipped unit catenoid.
 
-    ``method="shooting"`` bisects on the sign structure of the shot solution and
-    polishes with a secant iteration on the endpoint value; ``method="fd"`` is
-    the dense route: the symmetric tridiagonal finite-difference form of the
-    weighted problem, O(h^2) accurate.  ``angular_mode=k`` adds the k^2 angular
-    potential (higher modes are strictly more stable).
+    Solves the symmetric tridiagonal finite-difference form of the weighted
+    problem on ``mesh`` uniform cells (O(h^2) accurate; about 7e-8 on the
+    marginal piece at mesh 4096).  The eigenfunction is returned on all mesh
+    nodes, scaled to max |u| = 1, positive near the lower end and zero at both
+    ends by construction.  ``angular_mode=k`` adds the k^2 angular potential
+    (higher modes are strictly more stable).  Raises ConvergenceError when the
+    cosh^2 weight overflows a double on the slab (|s| beyond about 355).
     """
     _check_piece(piece)
     if mesh < 16:
         raise ValueError("mesh too coarse: need at least 16 nodes")
-    if method not in ("shooting", "fd"):
-        raise ValueError(f"unknown method {method!r}")
+    # "fd" is the only solver; the keyword stays because the benchmark passes it
+    if method != "fd":
+        raise ValueError(f"unknown method {method!r}: only 'fd' is available")
     a, b = piece.slab.h_minus, piece.slab.h_plus
     k2 = float(angular_mode * angular_mode)
 
-    if method == "fd":
-        s = np.linspace(a, b, mesh + 1)[1:-1]
-        h = (b - a) / mesh
-        w = np.cosh(s) ** 2
-        q = k2 - 2.0 / np.cosh(s) ** 2
-        d = (2.0 / h**2 + q) / w
-        e = (-1.0 / h**2) / np.sqrt(w[:-1] * w[1:])
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        mu = float(vals[0])
-        u = vecs[:, 0] / np.sqrt(w)
-        u = np.concatenate(([0.0], u, [0.0]))
-        u = u / np.max(np.abs(u))
-        if u[1] < 0:
-            u = -u
-        nodes = np.linspace(a, b, mesh + 1)
-        return JacobiSpectrumResult(mu, u, mesh, nodes, "fd")
-
-    s_half = np.linspace(a, b, 2 * mesh + 1)
-    w_half = np.cosh(s_half) ** 2
-    q_half = k2 - 2.0 / np.cosh(s_half) ** 2
-
-    def endpoint(mu: float):
-        samples, crossings = _shoot(a, b, mesh, q_half, w_half, mu)
-        return samples[-1], crossings
-
-    def crossed(mu: float) -> bool:
-        end, crossings = endpoint(mu)
-        return crossings >= 1 or end <= 0.0
-
-    lo = -2.5  # the quadratic form is bounded below by -2 against the cosh^2 weight
-    while crossed(lo):
-        lo *= 2.0
-        if lo < -1e6:
-            raise ConvergenceError("no lower bracket for lowest eigenvalue")
-    hi = 1.0
-    while not crossed(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConvergenceError("no upper bracket for lowest eigenvalue")
-
-    scale = max(1.0, abs(lo), abs(hi))
-    while hi - lo > 1e-10 * scale:
-        mid = 0.5 * (lo + hi)
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    # secant polish on the endpoint value; within this bracket the shot
-    # solution has no interior zero, so the endpoint is a smooth simple root
-    f_lo, _ = endpoint(lo)
-    f_hi, _ = endpoint(hi)
-    mu0, f0, mu1, f1 = lo, f_lo, hi, f_hi
-    for _ in range(60):
-        if f1 == f0:
-            break
-        mu_new = mu1 - f1 * (mu1 - mu0) / (f1 - f0)
-        if not (lo - 1e-9 * scale <= mu_new <= hi + 1e-9 * scale):
-            mu_new = 0.5 * (lo + hi)
-        f_new, _ = endpoint(mu_new)
-        mu0, f0, mu1, f1 = mu1, f1, mu_new, f_new
-        if mu0 == mu1:
-            break
-
-    mu = mu1
-    samples, _ = _shoot(a, b, mesh, q_half, w_half, mu)
-    samples = samples / np.max(np.abs(samples))
-    samples[-1] = 0.0 if abs(samples[-1]) < 1e-9 else samples[-1]
     nodes = np.linspace(a, b, mesh + 1)
-    return JacobiSpectrumResult(mu, samples, mesh, nodes, "shooting")
+    s = nodes[1:-1]
+    h = (b - a) / mesh
+    with np.errstate(over="ignore"):
+        w = np.cosh(s) ** 2
+        root = np.sqrt(w[:-1] * w[1:])
+    if not np.all(np.isfinite(w)):
+        raise ConvergenceError(
+            "cosh^2 weight of the Jacobi operator overflows on the slab",
+            {"h_minus": a, "h_plus": b},
+        )
+    # beyond |s| ~ 177 the product overflows although both factors are finite
+    root = np.where(np.isfinite(root), root, np.sqrt(w[:-1]) * np.sqrt(w[1:]))
+    q = k2 - 2.0 / w
+    d = (2.0 / h**2 + q) / w
+    e = (-1.0 / h**2) / root
+    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    u = vecs[:, 0] / np.sqrt(w)
+    u = np.concatenate(([0.0], u, [0.0]))
+    u = u / np.max(np.abs(u))
+    if u[1] < 0:
+        u = -u
+    return JacobiSpectrumResult(float(vals[0]), u, mesh, nodes)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import TWO_PI, CatenoidPiece, Slab, _cosh
-from .stability import ConeTangency, tangent_cone_heights
+from .rootfind import bracketed_root
+from .stability import ConeTangency, cat_ms, tangent_cone_heights
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class MsSolution:
 
     def unit_piece(self) -> CatenoidPiece:
         """Unit-scale reduction (the clipped interval in catenoid coordinates)."""
-        ct = tangent_cone_heights(self.apex_height)
-        return CatenoidPiece(1.0, 0.0, Slab(ct.t_minus, ct.t_plus))
+        return cat_ms(self.apex_height)
 
 
 def _ms_geometry(z: float, slab: Slab) -> tuple[float, float, ConeTangency]:
@@ -88,8 +88,6 @@ def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
             {"lower_length": lower_length, "z_range": (z_lo, z_hi)},
         )
     # f is strictly decreasing; bracketed_root expects it either way
-    from .rootfind import bracketed_root
-
     z = bracketed_root(f, z_lo, z_hi, residual_tol=1e-13)
     lam, c, ct = _ms_geometry(z, slab)
     lower = TWO_PI * lam * _cosh(ct.t_minus)
@@ -183,8 +181,6 @@ def spanning_catenoids(
         vals = residual_grid(lams, branch)
         sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         for i in sign_change:
-            from .rootfind import bracketed_root
-
             lam = bracketed_root(
                 lambda x, br=branch: residual_one(x, br),
                 float(lams[i]),

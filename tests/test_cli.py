@@ -54,6 +54,22 @@ class TestCatenoidCommand:
         assert code == 3 and "unknown keys" in err
 
 
+class TestMsCommand:
+    def test_low_apex_is_marginal(self, tmp_path, capsys):
+        spec = tmp_path / "ms.json"
+        spec.write_text(json.dumps({"apex_height": -11.0}))
+        code, out, _ = run_cli(["ms", "--input", str(spec)], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["mu1"]) <= 1e-6
+
+    def test_weight_overflow_exits_4(self, tmp_path, capsys):
+        spec = tmp_path / "ms.json"
+        spec.write_text(json.dumps({"apex_height": 400}))
+        code, out, err = run_cli(["ms", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        assert json.loads(err)["residuals"]["h_plus"] > 355.0
+
+
 class TestThresholdCommand:
     def test_sweep_csv_columns(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -166,6 +182,12 @@ class TestDeterminismAndOutput:
 class TestExitCodes:
     def test_unknown_tolerance_key(self, capsys):
         code, _, err = run_cli(["threshold", "--tol", "bogus=1"], capsys)
+        assert code == 2 and "bad configuration" in err
+
+    def test_unknown_grid_key(self, capsys):
+        code, _, err = run_cli(
+            ["threshold", "--sweep", "1:2:2", "--grid", "scan_points=200"], capsys
+        )
         assert code == 2 and "bad configuration" in err
 
     def test_grid_below_minimum(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import _oracles as orc
 from catslab import geometry as geo
 from catslab import stability as st_mod
+from catslab.errors import ConvergenceError
 from catslab.geometry import CatenoidPiece, Slab
 
 
@@ -103,7 +104,7 @@ class TestJacobiEigenvalue:
         assert abs(res.lowest_eigenvalue) <= 1e-6
 
     def test_marginal_along_the_family(self):
-        for z in (0.5, -1.2):
+        for z in (0.5, -1.2, -8.0, -20.0, 250.0):
             res = st_mod.lowest_jacobi_eigenvalue(st_mod.cat_ms(z), mesh=2048)
             assert abs(res.lowest_eigenvalue) <= 1e-6
 
@@ -124,25 +125,23 @@ class TestJacobiEigenvalue:
 
     def test_fd_matches_shooting(self):
         piece = CatenoidPiece(1.0, 0.0, Slab(-0.8, 1.1))
-        shoot = st_mod.lowest_jacobi_eigenvalue(piece, 2048, method="shooting")
-        fd = st_mod.lowest_jacobi_eigenvalue(piece, 2048, method="fd")
-        assert shoot.lowest_eigenvalue == pytest.approx(
-            fd.lowest_eigenvalue, abs=5e-6
-        )
+        shoot = orc.jacobi_shooting_mu1(-0.8, 1.1, 2048)
+        fd = st_mod.lowest_jacobi_eigenvalue(piece, 2048)
+        assert shoot == pytest.approx(fd.lowest_eigenvalue, abs=5e-6)
 
     def test_richardson_order_fd(self):
         piece = st_mod.cat_ms(0.0)
         errs = [
-            abs(st_mod.lowest_jacobi_eigenvalue(piece, m, method="fd").lowest_eigenvalue)
+            abs(st_mod.lowest_jacobi_eigenvalue(piece, m).lowest_eigenvalue)
             for m in (512, 1024, 2048)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
 
     def test_richardson_order_shooting(self):
-        piece = st_mod.cat_ms(0.0)
+        slab = st_mod.cat_ms(0.0).slab
         errs = [
-            abs(st_mod.lowest_jacobi_eigenvalue(piece, m).lowest_eigenvalue)
+            abs(orc.jacobi_shooting_mu1(slab.h_minus, slab.h_plus, m))
             for m in (512, 1024, 2048)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -172,7 +171,7 @@ class TestJacobiEigenvalue:
 
             def mu1(b):
                 piece = CatenoidPiece(1.0, 0.0, Slab(a, b))
-                return st_mod.lowest_jacobi_eigenvalue(piece, 512, method="fd").lowest_eigenvalue
+                return st_mod.lowest_jacobi_eigenvalue(piece, 512).lowest_eigenvalue
 
             lo, hi = 0.25, 4.0
             assert mu1(lo) > 0.0 > mu1(hi)  # single sign change: unique marginal b
@@ -187,6 +186,16 @@ class TestJacobiEigenvalue:
     def test_mesh_too_coarse(self):
         with pytest.raises(ValueError):
             st_mod.lowest_jacobi_eigenvalue(st_mod.cat_ms(0.0), mesh=8)
+
+    def test_only_fd_method(self):
+        with pytest.raises(ValueError):
+            st_mod.lowest_jacobi_eigenvalue(st_mod.cat_ms(0.0), 1024, method="shooting")
+
+    def test_weight_overflow_raises(self):
+        # the slab reaches s ~ 401, where cosh(s)^2 exceeds the double range
+        with pytest.raises(ConvergenceError) as info:
+            st_mod.lowest_jacobi_eigenvalue(st_mod.cat_ms(400.0), 1024)
+        assert info.value.residuals["h_plus"] > 355.0
 
     def test_requires_unit_piece(self):
         with pytest.raises(ValueError):

@@ -53,9 +53,7 @@ class TestMsSolve:
     def test_marginality_of_solutions(self):
         for L in (3.0, 9.48, 25.0):
             ms = th.ms_piece_for_lower_length(L, CANON)
-            mu1 = st_mod.lowest_jacobi_eigenvalue(
-                ms.unit_piece(), mesh=2048, method="fd"
-            ).lowest_eigenvalue
+            mu1 = st_mod.lowest_jacobi_eigenvalue(ms.unit_piece(), mesh=2048).lowest_eigenvalue
             assert abs(mu1) <= 1e-4
 
     def test_invalid_length(self):
@@ -126,7 +124,7 @@ class TestSpanning:
         signs = []
         for lam, c in result.parameters:
             mu1 = st_mod.lowest_jacobi_eigenvalue(
-                unit_reduction(lam, c, CANON), mesh=1024, method="fd"
+                unit_reduction(lam, c, CANON), mesh=1024
             ).lowest_eigenvalue
             signs.append(mu1 > 0)
         assert sorted(signs) == [False, True]
