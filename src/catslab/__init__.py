@@ -1,6 +1,12 @@
 """Catenoids in a slab: exact clipped-catenoid geometry, marginal stability,
 sharp spanning thresholds, minimal annuli from Laurent Weierstrass data, and
-the closed-curve curvature eigenvalue functional."""
+the closed-curve curvature eigenvalue functional.
+
+Events that matter to the paper, such as an oval functional below the
+conjectured constant 1, go to the ``catslab`` logger, which has only a
+NullHandler until the application configures logging."""
+
+import logging
 
 from .errors import ConvergenceError, DataInvalidError, ResolutionError
 from .geometry import (
@@ -50,3 +56,5 @@ from .weierstrass import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

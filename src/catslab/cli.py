@@ -425,15 +425,13 @@ def _run_oval(config: RunConfig):
     except (TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad curve input: {exc}") from exc
     rtol = config.tolerances.get("rtol", 1e-8)
-    spectrum = ovals.lowest_eigenvalue(
-        curve, n_start=config.grid.get("n", 256), rtol=rtol
-    )
+    spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
     payload = {
         "length": spectrum.length,
         "lambda1": spectrum.lambda1,
         "functional": spectrum.functional,
         "n_used": spectrum.n_used,
-        "below_conjectured_constant": bool(spectrum.functional < 1.0),
+        "below_conjectured_constant": spectrum.below_conjectured_constant,
         "tolerances": {"rtol": rtol, "proven_constant": 0.5},
     }
     return payload, None

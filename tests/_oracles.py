@@ -2,13 +2,15 @@
 
 Each oracle deliberately avoids the closed forms implemented in the package:
 tangent vectors come from finite differences of the parameterization, lengths
-from discretized line integrals, eigenvalues from monodromy shooting, solution
-counts from sign-change cells of a dense residual grid.
+from discretized line integrals, eigenvalues from monodromy shooting or dense
+collocation on uniform-arclength samples, solution counts from sign-change
+cells of a dense residual grid.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
@@ -132,6 +134,21 @@ def floquet_lambda1(curve, steps: int = 2048, tol: float = 1e-11):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def dense_collocation_lambda1(curve):
+    """Lowest periodic eigenvalue of -d^2/ds^2 + kappa^2 by dense Fourier
+    collocation on a curve sampled uniformly in arclength (for example the
+    output of ``resample_arclength``): the n x n second-derivative matrix is
+    built by FFT of the identity and solved with a dense symmetric eigh."""
+    n = len(curve)
+    L = curve.total_length
+    modes = np.fft.fftfreq(n, d=1.0 / n) * TWO_PI / L
+    Fm = np.fft.fft(np.eye(n), axis=0)
+    D2 = np.real(np.fft.ifft(-(modes**2)[:, None] * Fm, axis=0))
+    A = -D2 + np.diag(curve.curvature**2)
+    A = 0.5 * (A + A.T)
+    return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
 def spanning_count_grid(lower, upper, slab, n_lam=400, n_c=400):

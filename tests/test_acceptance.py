@@ -5,6 +5,7 @@ lines; every tolerance below is pinned, nothing is deferred to calibration.
 """
 
 import json
+import logging
 import math
 from contextlib import contextmanager
 
@@ -189,12 +190,14 @@ def test_criterion_8_oval_functional():
         assert len(corpus) == 50
         below = []
         for curve in corpus:
-            result = ov.lowest_eigenvalue(curve, n_start=128)
+            result = ov.lowest_eigenvalue(curve)
             assert result.functional >= 0.5  # proven constant, hard failure
-            if result.functional < 1.0:
+            if result.below_conjectured_constant:
                 below.append(result.functional)
         if below:  # conjectured constant: logged, never asserted
-            print(f"functional below 1 observed on {len(below)} curves: {below}")
+            logging.getLogger("catslab").warning(
+                "functional below 1 observed on %d curves: %r", len(below), below
+            )
 
 
 def test_criterion_9_infrastructure(tmp_path, capsys):

@@ -150,7 +150,24 @@ class TestOvalCommand:
         spec.write_text(json.dumps({"points": pts.tolist()}))
         code, out, _ = run_cli(["oval", "--input", str(spec)], capsys)
         assert code == 0
-        assert json.loads(out)["lambda1"] == pytest.approx(0.25, rel=1e-8)
+        doc = json.loads(out)
+        assert doc["lambda1"] == pytest.approx(0.25, rel=1e-8)
+        assert doc["below_conjectured_constant"] is False
+
+    def test_unit_circle_not_below_conjecture(self, tmp_path, capsys):
+        spec = tmp_path / "circle.json"
+        spec.write_text(json.dumps({"circle": [1]}))
+        code, out, _ = run_cli(["oval", "--input", str(spec)], capsys)
+        assert code == 0
+        assert json.loads(out)["below_conjectured_constant"] is False
+
+    def test_degenerate_ellipse_exits_4(self, tmp_path, capsys):
+        spec = tmp_path / "needle.json"
+        spec.write_text(json.dumps({"ellipse": [1, 1e-6]}))
+        code, out, err = run_cli(["oval", "--input", str(spec)], capsys)
+        assert code == 4
+        assert out == ""
+        assert "min kappa^2" in err
 
 
 class TestDeterminismAndOutput:
