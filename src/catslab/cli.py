@@ -216,9 +216,13 @@ def _run_catenoid(config: RunConfig):
     n_height = config.grid.get("n_height", 64)
     n_theta = config.grid.get("n_theta", 256)
     area = geometry.area_in_slab(piece)
+    if not math.isfinite(area):  # cosh((h - offset) / scale) overflows on the slab
+        raise ConvergenceError(
+            "closed-form area overflows", {"scale": piece.scale, "offset": piece.offset}
+        )
     area_quad = geometry.area_by_quadrature(piece, n_height, n_theta)
     rel = abs(area - area_quad) / area
-    if rel > area_rtol:
+    if not (rel <= area_rtol):
         raise ConvergenceError(
             "area quadrature disagrees with the closed form",
             {"relative_residual": rel, "tolerance": area_rtol},

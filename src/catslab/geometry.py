@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rootfind import bracketed_root
-
-TWO_PI = 2.0 * math.pi
+from .spectral import TWO_PI, gauss_legendre, periodic_nodes
 
 # cosh/sinh arguments beyond this switch to explicit exponential forms; plain
 # math.sinh overflows just above 710 and products of large factors lose the
@@ -164,11 +163,9 @@ def area_by_quadrature(
     """
     if n_height < 2 or n_theta < 4:
         raise ValueError("quadrature needs n_height >= 2 and n_theta >= 4")
-    nodes, weights = np.polynomial.legendre.leggauss(n_height)
     a, b = piece.slab.h_minus, piece.slab.h_plus
-    hs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    w_h = 0.5 * (b - a) * weights
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    hs, w_h = gauss_legendre(n_height, a, b)
+    thetas = periodic_nodes(n_theta)
 
     hh, tt = np.meshgrid(hs, thetas, indexing="ij")
     dh = fd_step * max(1.0, piece.scale)

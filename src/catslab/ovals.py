@@ -37,39 +37,9 @@ import numpy as np
 from scipy.linalg import eigh, toeplitz
 
 from .errors import ResolutionError
+from .spectral import TWO_PI, cumulative_integral, fourier_derivative
 
-TWO_PI = 2.0 * math.pi
 _log = logging.getLogger(__name__)
-
-
-def _fourier_derivative(
-    values: np.ndarray, order: int = 1, n_out: int | None = None
-) -> np.ndarray:
-    """Spectral derivative along axis 0 of periodic samples on [0, 1).
-
-    At the sample points by default.  With ``n_out`` (greater than the sample
-    count) the derivative of the trigonometric interpolant is evaluated on a
-    uniform grid of ``n_out`` points by zero padding; an even count's Nyquist
-    mode is split evenly between +-n/2, as in ``_trig_interpolate``.
-    """
-    n = values.shape[0]
-    spec = np.fft.fft(values, axis=0)
-    if n_out is None:
-        n_out = n
-        if order % 2 and n % 2 == 0:
-            spec[n // 2] = 0.0  # odd derivative of the Nyquist mode is ambiguous
-    else:
-        pos = (n + 1) // 2
-        padded = np.zeros((n_out,) + values.shape[1:], dtype=complex)
-        padded[:pos] = spec[:pos]
-        padded[n_out - (n - pos):] = spec[pos:]
-        if n % 2 == 0:
-            padded[n_out - n // 2] *= 0.5
-            padded[n // 2] = padded[n_out - n // 2]
-        spec = padded * (n_out / n)
-    modes = np.fft.fftfreq(n_out, d=1.0 / n_out) * TWO_PI
-    factor = ((1j * modes) ** order).reshape((n_out,) + (1,) * (values.ndim - 1))
-    return np.fft.ifft(spec * factor, axis=0).real
 
 
 def _trig_interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -81,8 +51,7 @@ def _trig_interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         # split the Nyquist mode so the interpolant stays real
         weights[:, n // 2] = np.cos(math.pi * n * u)
-    flat = spec.reshape(n, -1)
-    out = weights @ flat
+    out = weights @ spec.reshape(n, -1)
     return out.real.reshape((len(u),) + values.shape[1:])
 
 
@@ -112,7 +81,7 @@ class ClosedCurve:
 
     @cached_property
     def _velocity(self) -> np.ndarray:
-        return _fourier_derivative(self.points)
+        return fourier_derivative(self.points, period=1.0)
 
     @cached_property
     def speed(self) -> np.ndarray:
@@ -126,37 +95,25 @@ class ClosedCurve:
     @cached_property
     def arclength(self) -> np.ndarray:
         """Cumulative arclength at the nodes, by spectral antidifferentiation."""
-        n = len(self)
-        a = np.fft.fft(self.speed) / n
-        m = np.fft.fftfreq(n, d=1.0 / n)
-        D = np.zeros_like(a)
-        D[m != 0] = a[m != 0] / (2j * math.pi * m[m != 0])
-        W = np.fft.ifft(D * n).real
-        u = np.arange(n) / n
-        return a[0].real * u + (W - W[0])
+        return cumulative_integral(self.speed, period=1.0)[0].real
 
     @cached_property
     def curvature(self) -> np.ndarray:
         """kappa = |c' x c''| / |c'|^3 at the nodes (any parameterization)."""
         c1 = self._velocity
-        c2 = _fourier_derivative(self.points, 2)
+        c2 = fourier_derivative(self.points, 2, period=1.0)
         return np.linalg.norm(np.cross(c1, c2), axis=1) / self.speed**3
 
     # ---- generators -------------------------------------------------------
 
     @staticmethod
     def circle(radius: float = 1.0, n: int = 256) -> "ClosedCurve":
-        u = TWO_PI * np.arange(n) / n
-        return ClosedCurve(
-            np.stack([radius * np.cos(u), radius * np.sin(u), np.zeros(n)], axis=1)
-        )
+        return ClosedCurve.ellipse(radius, radius, n)
 
     @staticmethod
     def ellipse(a: float, b: float, n: int = 256) -> "ClosedCurve":
         u = TWO_PI * np.arange(n) / n
-        return ClosedCurve(
-            np.stack([a * np.cos(u), b * np.sin(u), np.zeros(n)], axis=1)
-        )
+        return ClosedCurve(np.stack([a * np.cos(u), b * np.sin(u), np.zeros(n)], axis=1))
 
     @staticmethod
     def rounded_polygon(sides: int, rounding: float = 0.1, n: int = 512) -> "ClosedCurve":
@@ -250,7 +207,7 @@ def rayleigh_quotient(curve: ClosedCurve, f) -> float:
     denom = float((f**2 * speed).mean())
     if denom < 1e-30:
         raise ValueError("f is numerically zero")
-    df_ds = _fourier_derivative(f.reshape(-1, 1)).ravel() / speed
+    df_ds = fourier_derivative(f, period=1.0) / speed
     numer = float(((df_ds**2 + curve.curvature**2 * f**2) * speed).mean())
     return numer / denom
 
@@ -281,8 +238,8 @@ def _galerkin_level(curve: ClosedCurve, K: int):
     index 2K), where c' and c'' come from the N samples by zero padding.
     """
     P = 1 << (max(8 * K, 2 * len(curve)) - 1).bit_length()
-    c1 = _fourier_derivative(curve.points, 1, P)
-    c2 = _fourier_derivative(curve.points, 2, P)
+    c1 = fourier_derivative(curve.points, 1, P, period=1.0)
+    c2 = fourier_derivative(curve.points, 2, P, period=1.0)
     sigma = np.linalg.norm(c1, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa2 = (np.linalg.norm(np.cross(c1, c2), axis=1) / sigma**3) ** 2

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import TWO_PI, CatenoidPiece, Slab, _cosh
+from .geometry import CatenoidPiece, Slab, _cosh
 from .rootfind import bracketed_root
+from .spectral import TWO_PI
 from .stability import ConeTangency, cat_ms, tangent_cone_heights
 
 

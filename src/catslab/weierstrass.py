@@ -36,7 +36,9 @@ import numpy as np
 
 from . import geometry
 from .errors import DataInvalidError, ResolutionError
-from .geometry import TWO_PI, CatenoidPiece, Slab
+from .geometry import CatenoidPiece, Slab
+from .spectral import FIVE_POINT, TWO_PI, cumulative_integral, five_point, fourier_derivative
+from .spectral import gauss_legendre, periodic_integral, periodic_nodes
 
 _SCHEMA_VERSION = 1
 
@@ -44,6 +46,15 @@ _SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # data model
 # ---------------------------------------------------------------------------
+
+
+def _power(p, name: str) -> int:
+    try:
+        if p == int(p):
+            return int(p)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataInvalidError(f"non-integer power {p!r} in {name}")
 
 
 @dataclass(frozen=True)
@@ -56,27 +67,19 @@ class WeierstrassData:
     r_outer: float
 
     def __post_init__(self):
-        if not (0.0 < self.r_inner < self.r_outer):
+        if not (0.0 < self.r_inner < self.r_outer < math.inf):
             raise DataInvalidError(
-                f"need 0 < r_inner < r_outer, got {self.r_inner}, {self.r_outer}"
+                f"need finite 0 < r_inner < r_outer, got {self.r_inner}, {self.r_outer}"
             )
-        for name, table in (("g", self.g_coeffs), ("h", self.h_coeffs)):
+        for name in ("g", "h"):
+            table = getattr(self, f"{name}_coeffs")
             if not table:
                 raise DataInvalidError(f"empty coefficient table for {name}")
-            for p in table:
-                if p != int(p):
-                    raise DataInvalidError(f"non-integer power {p} in {name}")
-        # canonical (power-sorted) order so evaluation is bit-reproducible
-        object.__setattr__(
-            self,
-            "g_coeffs",
-            {int(p): complex(self.g_coeffs[p]) for p in sorted(self.g_coeffs)},
-        )
-        object.__setattr__(
-            self,
-            "h_coeffs",
-            {int(p): complex(self.h_coeffs[p]) for p in sorted(self.h_coeffs)},
-        )
+            canonical = {_power(p, name): complex(c) for p, c in table.items()}
+            if not np.isfinite(list(canonical.values())).all():
+                raise DataInvalidError(f"non-finite coefficient in {name}")
+            # canonical (power-sorted) order so evaluation is bit-reproducible
+            object.__setattr__(self, f"{name}_coeffs", dict(sorted(canonical.items())))
 
     def scaled(self, factor: float) -> "WeierstrassData":
         """Homothety: scale the height differential (and hence the immersion)."""
@@ -132,11 +135,44 @@ def from_json(text: str) -> WeierstrassData:
     if doc.get("version") != _SCHEMA_VERSION:
         raise DataInvalidError(f"unsupported document version {doc.get('version')!r}")
     try:
-        g = {int(p): complex(re, im) for p, re, im in doc["g"]}
-        h = {int(p): complex(re, im) for p, re, im in doc["h"]}
+        g, h = ({p: complex(re, im) for p, re, im in doc[k]} for k in ("g", "h"))
+        if len(g) != len(doc["g"]) or len(h) != len(doc["h"]):
+            raise DataInvalidError("repeated power in a coefficient table")
         return WeierstrassData(g, h, float(doc["r_inner"]), float(doc["r_outer"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"malformed Weierstrass document: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# circle grids
+# ---------------------------------------------------------------------------
+
+
+def _circle(rho, n: int) -> np.ndarray:
+    """Points rho * e^{i theta} on n uniform angles; one row per radius for an array rho."""
+    return np.multiply.outer(rho, np.exp(1j * periodic_nodes(n)))
+
+
+def _circle_grid(ts: np.ndarray, n: int) -> np.ndarray:
+    """Points e^{t + i theta}: one row of n uniform angles per log-radius t."""
+    return np.exp(ts[:, None] + 1j * periodic_nodes(n)[None, :])
+
+
+def _level_speeds(data: WeierstrassData, z: np.ndarray):
+    """|z g h| and |z h / g|: half their sum is the speed of the circle image in theta."""
+    gv, hv = eval_g(data, z), eval_h(data, z)
+    return np.abs(z * gv * hv), np.abs(z * hv / gv)
+
+
+def _circle_lengths(data: WeierstrassData, ts: np.ndarray, n_theta: int) -> np.ndarray:
+    """Lengths of the images of |z| = e^t for each t, by periodic trapezoid rule."""
+    a, b = _level_speeds(data, _circle_grid(ts, n_theta))
+    return periodic_integral(0.5 * (a + b))
+
+
+def _conformal_factor(gv, hv, z):
+    """Metric factor of the immersion against the flat (log|z|, theta) cylinder."""
+    return 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * np.abs(z)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +187,17 @@ def _winding_number(values: np.ndarray) -> int:
     return int(round(increments.sum() / TWO_PI))
 
 
-def _circle(data: WeierstrassData, rho: float, n: int) -> np.ndarray:
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    return rho * np.exp(1j * theta)
-
-
-def _loop_integral(values_times_dz: np.ndarray) -> complex:
-    # trapezoid rule on a periodic integrand: the plain mean, times 2*pi
-    return complex(values_times_dz.mean() * TWO_PI)
+def _loop_flux(data: WeierstrassData, rho: float, n: int):
+    """Loop integrals of h dz, g h dz and h/g dz around |z| = rho and the flux
+    vector they give; raises DataInvalidError unless the vertical flux is positive."""
+    z = _circle(rho, n)
+    gv, hv = eval_g(data, z), eval_h(data, z)
+    dz = 1j * z
+    p_h, p_gh, p_gih = (complex(periodic_integral(v * dz)) for v in (hv, gv * hv, hv / gv))
+    fl = np.array([(0.5 * (p_gih - p_gh)).imag, (0.5j * (p_gih + p_gh)).imag, p_h.imag])
+    if not (fl[2] > 0.0):
+        raise DataInvalidError(f"vertical flux must be positive, got {fl[2]:.3e}")
+    return fl, p_h, p_gh, p_gih
 
 
 @dataclass
@@ -182,20 +221,17 @@ def validate(
     """Certify the data invariants; raises DataInvalidError on violation.
 
     Nonvanishing of g is certified by equal winding numbers on the inner and
-    outer circles plus a minimum-modulus margin on a radial scan.  The residue
-    conditions (real residue of h, vanishing z^-1 coefficients of g*h and h/g)
-    are measured by spectrally accurate loop integrals and compared against
+    outer circles plus a minimum-modulus margin on ``n_circles`` geometrically
+    spaced circles from the inner to the outer one.  The residue conditions
+    (real residue of h, vanishing z^-1 coefficients of g*h and h/g) are
+    measured by spectrally accurate loop integrals and compared against
     ``period_rtol`` times the vertical flux.
     """
-    rhos = np.geomspace(data.r_inner, data.r_outer, n_circles)
-    min_mod = math.inf
-    windings = []
-    for rho in (data.r_inner, data.r_outer):
-        gv = eval_g(data, _circle(data, rho, n_scan))
-        windings.append(_winding_number(gv))
-    for rho in rhos:
-        gv = eval_g(data, _circle(data, rho, n_scan))
-        min_mod = min(min_mod, float(np.abs(gv).min()))
+    if n_circles < 2:
+        raise ValueError("n_circles must include the inner and outer circles")
+    gv = eval_g(data, _circle(np.geomspace(data.r_inner, data.r_outer, n_circles), n_scan))
+    windings = _winding_number(gv[0]), _winding_number(gv[-1])
+    min_mod = float(np.abs(gv).min())
     if windings[0] != windings[1]:
         raise DataInvalidError(
             f"g has zeros in the annulus: winding {windings[0]} inner vs {windings[1]} outer"
@@ -205,53 +241,21 @@ def validate(
             f"g modulus {min_mod:.3e} below margin {min_modulus:.3e} on scanned circles"
         )
 
-    rho_mid = math.sqrt(data.r_inner * data.r_outer)
-    z = _circle(data, rho_mid, n_scan)
-    gv = eval_g(data, z)
-    hv = eval_h(data, z)
-    dz = 1j * z
-    p_h = _loop_integral(hv * dz)
-    p_gh = _loop_integral(gv * hv * dz)
-    p_gih = _loop_integral(hv / gv * dz)
+    fl, p_h, p_gh, p_gih = _loop_flux(data, math.sqrt(data.r_inner * data.r_outer), n_scan)
     f3 = p_h.imag
-    if f3 <= 0.0:
-        raise DataInvalidError(f"vertical flux must be positive, got {f3:.3e}")
-    residuals = {
-        "height_period": abs(p_h.real),
-        "g_dh": abs(p_gh),
-        "ginv_dh": abs(p_gih),
-    }
+    residuals = {"height_period": abs(p_h.real), "g_dh": abs(p_gh), "ginv_dh": abs(p_gih)}
     worst = max(residuals.values())
-    if worst > period_rtol * f3:
+    if not (worst <= period_rtol * f3):
         raise DataInvalidError(
             f"period residuals {residuals} exceed {period_rtol:.1e} * F3 = {period_rtol * f3:.3e}"
         )
-    fl = np.array(
-        [
-            (0.5 * (p_gih - p_gh)).imag,
-            (0.5j * (p_gih + p_gh)).imag,
-            f3,
-        ]
-    )
     return DataValidation(windings[0], min_mod, residuals, fl, f3, f3 / TWO_PI)
 
 
 def flux(data: WeierstrassData, *, n: int = 2048, radius: float | None = None) -> np.ndarray:
     """Flux vector of the core circle (homology invariant; any radius works)."""
     rho = radius if radius is not None else math.sqrt(data.r_inner * data.r_outer)
-    z = _circle(data, rho, n)
-    gv = eval_g(data, z)
-    hv = eval_h(data, z)
-    dz = 1j * z
-    p_gh = _loop_integral(gv * hv * dz)
-    p_gih = _loop_integral(hv / gv * dz)
-    p_h = _loop_integral(hv * dz)
-    fl = np.array(
-        [(0.5 * (p_gih - p_gh)).imag, (0.5j * (p_gih + p_gh)).imag, p_h.imag]
-    )
-    if fl[2] <= 0.0:
-        raise DataInvalidError(f"vertical flux must be positive, got {fl[2]:.3e}")
-    return fl
+    return _loop_flux(data, rho, n)[0]
 
 
 def required_rotation(data: WeierstrassData, *, rtol: float = 1e-10):
@@ -286,11 +290,10 @@ def catenoid_data(scale: float, r_inner: float, r_outer: float) -> WeierstrassDa
     return WeierstrassData({1: 1.0}, {-1: scale}, r_inner, r_outer)
 
 
-def _laurent_coeff_fft(values_on_circle: np.ndarray, rho: float, power: int) -> complex:
-    """Laurent coefficient [f]_power from samples of f on the circle |z| = rho."""
-    n = values_on_circle.size
-    spectrum = np.fft.fft(values_on_circle) / n
-    return complex(spectrum[power % n] * rho ** (-power))
+def _laurent_coeffs(values: np.ndarray, powers) -> dict:
+    """Laurent coefficients [f]_p, p in ``powers``, from samples of f on |z| = 1."""
+    spectrum = np.fft.fft(values) / values.size
+    return {p: complex(spectrum[p % values.size]) for p in powers}
 
 
 def adjust_height_for_periods(
@@ -314,11 +317,8 @@ def adjust_height_for_periods(
     h = {int(p): complex(c) for p, c in h_coeffs.items() if p not in (-2, -1, 0)}
     h[-1] = complex(flux_scale)
 
-    theta = np.linspace(0.0, TWO_PI, n_fft, endpoint=False)
-    z1 = np.exp(1j * theta)
-    ginv = 1.0 / _eval_laurent(g, z1)
-    powers_needed = {-1 - k for k in list(h) + [-2, 0]}
-    q = {m: _laurent_coeff_fft(ginv, 1.0, m) for m in powers_needed}
+    ginv = 1.0 / _eval_laurent(g, _circle(1.0, n_fft))
+    q = _laurent_coeffs(ginv, {-1 - k for k in list(h) + [-2, 0]})
 
     # [g*h]_{-1} = sum_p g_p h_{-1-p};  [h/g]_{-1} = sum_k q_{-1-k} h_k
     rhs_b = -sum(g[p] * h.get(-1 - p, 0.0) for p in g)
@@ -379,9 +379,7 @@ def vertical_annulus_data(
     [G]_{-1} = 0 (imposed by construction) and [1/G]_1 = 0, enforced by a
     Newton iteration on the z^1 coefficient of G.
     """
-    n_fft = 4096
-    theta = np.linspace(0.0, TWO_PI, n_fft, endpoint=False)
-    z1 = np.exp(1j * theta)
+    z1 = _circle(1.0, 4096)
     for _ in range(max_tries):
         G = {0: 1.0 + 0.0j, 1: 0.0j}
         for p in (-3, -2, 1, 2):
@@ -392,20 +390,20 @@ def vertical_annulus_data(
         ok = False
         for _ in range(25):
             Gv = _eval_laurent(G, z1)
-            target = _laurent_coeff_fft(1.0 / Gv, 1.0, 1)
+            target = _laurent_coeffs(1.0 / Gv, [1])[1]
             if abs(target) <= 1e-14:
                 ok = True
                 break
             # d[1/G]_1 / dG_1 = -[z/G^2]_1 = -[1/G^2]_0
-            deriv = -_laurent_coeff_fft(1.0 / Gv**2, 1.0, 0)
+            deriv = -_laurent_coeffs(1.0 / Gv**2, [0])[0]
             if deriv == 0:
                 break
             G[1] = G[1] - target / deriv
         if not ok:
             continue
         g = {p + 1: c for p, c in G.items() if c != 0}
-        data = WeierstrassData(g, {-1: complex(flux_scale)}, r_inner, r_outer)
         try:
+            data = WeierstrassData(g, {-1: complex(flux_scale)}, r_inner, r_outer)
             validate(data)
         except DataInvalidError:
             continue
@@ -419,34 +417,12 @@ def is_vertical_gauge(data: WeierstrassData, rtol: float = 1e-12) -> bool:
     if res == 0 or abs(res.imag) > rtol * abs(res):
         return False
     scale = abs(res)
-    return all(
-        abs(c) <= rtol * scale for p, c in data.h_coeffs.items() if p != -1
-    )
+    return all(abs(c) <= rtol * scale for p, c in data.h_coeffs.items() if p != -1)
 
 
 # ---------------------------------------------------------------------------
 # level-length profile and convexity
 # ---------------------------------------------------------------------------
-
-
-def _circle_lengths(data: WeierstrassData, ts: np.ndarray, n_theta: int) -> np.ndarray:
-    """Lengths of the images of |z| = e^t for each t, by periodic trapezoid rule."""
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    z = np.exp(ts[:, None] + 1j * theta[None, :])
-    gv = _eval_laurent(data.g_coeffs, z)
-    hv = _eval_laurent(data.h_coeffs, z)
-    integrand = 0.5 * (np.abs(z * gv * hv) + np.abs(z * hv / gv))
-    return integrand.mean(axis=1) * TWO_PI
-
-
-def _circle_min_moduli(data: WeierstrassData, ts: np.ndarray, n_theta: int):
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    z = np.exp(ts[:, None] + 1j * theta[None, :])
-    gv = _eval_laurent(data.g_coeffs, z)
-    hv = _eval_laurent(data.h_coeffs, z)
-    a = np.abs(z * gv * hv)
-    b = np.abs(z * hv / gv)
-    return a.min(axis=1), b.min(axis=1), max(a.max(), b.max())
 
 
 @dataclass
@@ -496,17 +472,18 @@ def level_profile(
     t_lo, t_hi = math.log(data.r_inner), math.log(data.r_outer)
     ts = np.linspace(t_lo, t_hi, num_levels)
 
-    min_a, min_b, scale = _circle_min_moduli(data, ts, n_theta)
-    keep = (min_a > min_modulus_rel * scale) & (min_b > min_modulus_rel * scale)
+    a, b = _level_speeds(data, _circle_grid(ts, n_theta))
+    scale = max(a.max(), b.max())
+    keep = (a.min(axis=1) > min_modulus_rel * scale) & (b.min(axis=1) > min_modulus_rel * scale)
     skipped = [int(i) for i in np.nonzero(~keep)[0]]
     ts_kept = ts[keep]
     if ts_kept.size < 5:
         raise DataInvalidError("too few usable levels after skipping near-zeros")
 
-    lengths = _circle_lengths(data, ts_kept, n_theta)
+    lengths = periodic_integral(0.5 * (a + b)[keep])
     lengths_2n = _circle_lengths(data, ts_kept, 2 * n_theta)
     disagreement = np.abs(lengths - lengths_2n) / np.abs(lengths_2n)
-    if disagreement.max() > quadrature_rtol:
+    if not (disagreement.max() <= quadrature_rtol):
         raise ResolutionError(
             "level-length quadrature did not converge",
             {"max_relative_disagreement": float(disagreement.max()), "n_theta": n_theta},
@@ -516,23 +493,13 @@ def level_profile(
     # dedicated 5-point central stencil for L''(t); only where it fits
     second = np.full(ts_kept.size, np.nan)
     fits = (ts_kept - 2 * fd_step >= t_lo) & (ts_kept + 2 * fd_step <= t_hi)
-    idx = np.nonzero(fits)[0]
-    if idx.size:
-        offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * fd_step
-        stencil_ts = (ts_kept[idx][:, None] + offsets[None, :]).ravel()
-        stencil_L = _circle_lengths(data, stencil_ts, n_theta).reshape(idx.size, 4)
-        second[idx] = (
-            -stencil_L[:, 0]
-            + 16.0 * stencil_L[:, 1]
-            - 30.0 * lengths[idx]
-            + 16.0 * stencil_L[:, 2]
-            - stencil_L[:, 3]
-        ) / (12.0 * fd_step**2)
+    if fits.any():
+        offsets = np.delete(FIVE_POINT, 2) * fd_step
+        stencil_ts = (ts_kept[fits][:, None] + offsets[None, :]).ravel()
+        stencil = _circle_lengths(data, stencil_ts, n_theta).reshape(-1, 4)
+        second[fits] = five_point(np.insert(stencil, 2, lengths[fits], axis=1), fd_step)[1]
 
-    mu = val.mu
-    return LevelProfile(
-        ts_kept, mu * ts_kept, lengths, second, val.f3, mu, skipped
-    )
+    return LevelProfile(ts_kept, val.mu * ts_kept, lengths, second, val.f3, val.mu, skipped)
 
 
 @dataclass
@@ -557,12 +524,8 @@ def convexity_check(profile: LevelProfile, *, equality_rtol: float = 1e-6) -> Co
     slack = profile.second_derivative[finite] - profile.lengths[finite]
     min_slack = float(slack.min())
     max_abs = float(np.abs(slack).max())
-    return ConvexityReport(
-        min_slack,
-        min_slack / profile.mu**2,
-        max_abs,
-        bool(max_abs <= equality_rtol * profile.lengths.max()),
-    )
+    equality = bool(max_abs <= equality_rtol * profile.lengths.max())
+    return ConvexityReport(min_slack, min_slack / profile.mu**2, max_abs, equality)
 
 
 @dataclass
@@ -587,14 +550,13 @@ def cpx_inequality_check(
     scale = max(abs(c) for c in coeffs.values())
     if abs(coeffs.get(0, 0.0)) > 1e-15 * scale:
         raise ValueError("constant Laurent coefficient of F must vanish")
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    z = rho * np.exp(1j * theta)
+    z = _circle(rho, n)
     Fv = _eval_laurent(coeffs, z)
     if np.abs(Fv).min() < min_modulus_rel * np.abs(Fv).max():
         raise ValueError("F vanishes (or nearly) on the circle")
     Fpv = _eval_laurent(_derivative_coeffs(coeffs), z)
-    lhs = float((rho**2 * np.abs(Fpv) ** 2 / np.abs(Fv)).mean() * TWO_PI)
-    rhs = float(np.abs(Fv).mean() * TWO_PI)
+    lhs = float(periodic_integral(rho**2 * np.abs(Fpv) ** 2 / np.abs(Fv)))
+    rhs = float(periodic_integral(np.abs(Fv)))
     return CircleMeanReport(lhs, rhs, lhs - rhs)
 
 
@@ -603,45 +565,25 @@ def cpx_inequality_check(
 # ---------------------------------------------------------------------------
 
 
-def _phi(data: WeierstrassData, z: np.ndarray) -> np.ndarray:
-    """Weierstrass integrand (phi1, phi2, phi3) stacked on the last axis."""
-    gv = _eval_laurent(data.g_coeffs, z)
-    hv = _eval_laurent(data.h_coeffs, z)
+def _phi(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """Weierstrass integrand (phi1, phi2, phi3) from the values of g and h,
+    stacked on the last axis."""
     ginv = 1.0 / gv
-    return np.stack(
-        [0.5 * (ginv - gv) * hv, 0.5j * (ginv + gv) * hv, hv + 0.0j], axis=-1
-    )
+    return np.stack([0.5 * (ginv - gv) * hv, 0.5j * (ginv + gv) * hv, hv + 0.0j], axis=-1)
 
 
-def _angular_cumulative(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral cumulative integral over theta of periodic samples.
-
-    ``f`` has shape (..., N); returns (I, period) with I[..., k] the integral
-    from theta=0 to theta_k and ``period`` the full loop integral.
-    """
-    n = f.shape[-1]
-    C = np.fft.fft(f, axis=-1) / n
-    m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-    D = np.zeros_like(C)
-    nonzero = m != 0
-    D[..., nonzero] = C[..., nonzero] / (1j * m[nonzero])
-    G = np.fft.ifft(D * n, axis=-1)
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    c0 = C[..., 0]
-    I = c0[..., None] * theta + G - G[..., :1]
-    return I, c0 * TWO_PI
+def _hopf(data: WeierstrassData, z, gv, hv):
+    """Hopf-type quadratic coefficient g'/g * h * z^2 in w = log z."""
+    return _eval_laurent(_derivative_coeffs(data.g_coeffs), z) / gv * hv * z**2
 
 
 def _radial_cumulative(data: WeierstrassData, ts: np.ndarray, phase: complex = 1.0 + 0.0j):
     """Cumulative integral of the Weierstrass integrand along the ray arg z = arg(phase)."""
-    nodes, weights = np.polynomial.legendre.leggauss(12)
     out = np.zeros((ts.size, 3), dtype=complex)
     for j in range(1, ts.size):
-        a, b = ts[j - 1], ts[j]
-        tau = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights
+        tau, w = gauss_legendre(12, ts[j - 1], ts[j])
         zq = np.exp(tau) * phase
-        vals = _phi(data, zq) * zq[:, None]  # dz = z dtau along the ray
+        vals = _phi(eval_g(data, zq), eval_h(data, zq)) * zq[:, None]  # dz = z dtau
         out[j] = out[j - 1] + (w[:, None] * vals).sum(axis=0)
     return out
 
@@ -699,43 +641,35 @@ def immerse(
         raise ValueError("grid_spec needs M >= 4 and even N >= 16")
     val = validate(data, period_rtol=period_rtol)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), M)
-    thetas = np.linspace(0.0, TWO_PI, N, endpoint=False)
-    z = np.exp(ts[:, None] + 1j * thetas[None, :])
+    thetas = periodic_nodes(N)
+    z = _circle_grid(ts, N)
+    gv, hv = eval_g(data, z), eval_h(data, z)
 
-    W = _phi(data, z)
-    f_ang = W * (1j * z)[..., None]  # integrand for d theta
-    I_ang, periods = _angular_cumulative(np.moveaxis(f_ang, -1, 0).reshape(3 * M, N))
+    f_ang = _phi(gv, hv) * (1j * z)[..., None]  # integrand for d theta
+    I_ang, periods = cumulative_integral(np.moveaxis(f_ang, -1, 0).reshape(3 * M, N))
     I_ang = np.moveaxis(I_ang.reshape(3, M, N), 0, -1)
     periods = periods.reshape(3, M)
 
     R = _radial_cumulative(data, ts)
     F = (R[:, None, :] + I_ang).real
 
-    gv = _eval_laurent(data.g_coeffs, z)
-    hv = _eval_laurent(data.h_coeffs, z)
-    metric = 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * np.abs(z)
-    if metric.min() < min_metric_rel * np.median(metric):
+    metric = _conformal_factor(gv, hv, z)
+    if not (metric.min() >= min_metric_rel * np.median(metric)):
         raise DataInvalidError(
             f"branch point: metric factor {metric.min():.3e} vanishes on the grid"
         )
 
     absg2 = np.abs(gv) ** 2
-    normal = np.stack(
-        [2.0 * gv.real, 2.0 * gv.imag, absg2 - 1.0], axis=-1
-    ) / (absg2 + 1.0)[..., None]
+    normal = np.stack([2.0 * gv.real, 2.0 * gv.imag, absg2 - 1.0], axis=-1)
+    normal = normal / (absg2 + 1.0)[..., None]
 
-    gpv = _eval_laurent(_derivative_coeffs(data.g_coeffs), z)
-    q = gpv / gv * hv * z**2  # Hopf-type quadratic coefficient in w = log z
-    second_form = np.empty(z.shape + (2, 2))
-    second_form[..., 0, 0] = q.real
-    second_form[..., 1, 1] = -q.real
-    second_form[..., 0, 1] = -q.imag
-    second_form[..., 1, 0] = -q.imag
+    q = _hopf(data, z, gv, hv)
+    second_form = np.stack([q.real, -q.imag, -q.imag, -q.real], axis=-1).reshape(z.shape + (2, 2))
 
     size = max(1.0, float(np.ptp(F.reshape(-1, 3), axis=0).max()))
     if verify:
         closure = np.abs(periods.real).max()
-        if closure > path_rtol * size:
+        if not (closure <= path_rtol * size):
             raise DataInvalidError(
                 f"loop-closure defect {closure:.3e} exceeds {path_rtol:.1e} * size"
             )
@@ -744,7 +678,7 @@ def immerse(
         R_pi = _radial_cumulative(data, ts, phase=complex(math.cos(math.pi), math.sin(math.pi)))
         alt = (R[0][None, :] + I_ang[0, k_pi][None, :] + (R_pi - R_pi[0][None, :])).real
         defect = np.abs(alt - F[:, k_pi, :]).max()
-        if defect > path_rtol * size:
+        if not (defect <= path_rtol * size):
             raise DataInvalidError(
                 f"path-independence defect {defect:.3e} exceeds {path_rtol:.1e} * size"
             )
@@ -755,9 +689,7 @@ def immerse(
         F[..., 1] -= F[:, :, 1][j_mid].mean()
         F[..., 2] -= F[j_mid, :, 2].mean() - val.mu * ts[j_mid]
 
-    return SampledAnnulus(
-        F, metric, normal, second_form, val.f3, val.mu, ts, thetas, data
-    )
+    return SampledAnnulus(F, metric, normal, second_form, val.f3, val.mu, ts, thetas, data)
 
 
 def measured_modulus(annulus: SampledAnnulus) -> float:
@@ -771,14 +703,6 @@ def measured_modulus(annulus: SampledAnnulus) -> float:
 # ---------------------------------------------------------------------------
 # level-curve decomposition and area comparison
 # ---------------------------------------------------------------------------
-
-
-def _require_vertical_gauge(data: WeierstrassData, op: str):
-    if not is_vertical_gauge(data):
-        raise ValueError(
-            f"{op} needs vertical-gauge data (h = mu/z exactly), where circle "
-            "images are the horizontal level sets"
-        )
 
 
 @dataclass
@@ -807,7 +731,11 @@ def second_derivative_decomposition(
     data = annulus.data
     if data is None:
         raise ValueError("annulus carries no source data")
-    _require_vertical_gauge(data, "second_derivative_decomposition")
+    if not is_vertical_gauge(data):
+        raise ValueError(
+            "second_derivative_decomposition needs vertical-gauge data (h = mu/z "
+            "exactly), where circle images are the horizontal level sets"
+        )
     M, N = annulus.metric_factor.shape
     if N < 64:
         raise ResolutionError("angular resolution too coarse", {"n_theta": N})
@@ -821,21 +749,13 @@ def second_derivative_decomposition(
         )
     mu = annulus.modulus_mu
 
-    stencil_ts = t + fd_step * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    L = _circle_lengths(data, stencil_ts, N)
-    d2_dt2 = (-L[0] + 16.0 * L[1] - 30.0 * L[2] + 16.0 * L[3] - L[4]) / (
-        12.0 * fd_step**2
-    )
+    d2_dt2 = five_point(_circle_lengths(data, t + fd_step * FIVE_POINT, N), fd_step)[1]
     fd_value = d2_dt2 / mu**2  # heights are mu * t in vertical gauge
 
-    theta = annulus.thetas
-    z = np.exp(t) * np.exp(1j * theta)
-    W = _phi(data, z)
-    c_prime = (W * (1j * z)[:, None]).real  # d/dtheta of the immersed curve
-    modes = np.fft.fftfreq(N, d=1.0 / N)
-    c_second = np.fft.ifft(
-        np.fft.fft(c_prime, axis=0) * (1j * modes)[:, None], axis=0
-    ).real
+    z = np.exp(t) * np.exp(1j * annulus.thetas)
+    gv, hv = eval_g(data, z), eval_h(data, z)
+    c_prime = (_phi(gv, hv) * (1j * z)[:, None]).real  # d/dtheta of the immersed curve
+    c_second = fourier_derivative(c_prime)
 
     speed = np.linalg.norm(c_prime, axis=1)  # equals the conformal factor
     cross = np.cross(c_prime, c_second)
@@ -843,13 +763,8 @@ def second_derivative_decomposition(
 
     lam = annulus.metric_factor[level_index]
     inv_grad = lam / mu  # 1/|grad x3| on the level
-    d_invgrad = np.fft.ifft(np.fft.fft(inv_grad) * (1j * modes)).real / lam
-
-    gv = _eval_laurent(data.g_coeffs, z)
-    gpv = _eval_laurent(_derivative_coeffs(data.g_coeffs), z)
-    hv = _eval_laurent(data.h_coeffs, z)
-    q = gpv / gv * hv * z**2
-    beta = -q.imag / lam**2
+    d_invgrad = fourier_derivative(inv_grad) / lam
+    beta = -_hopf(data, z, gv, hv).imag / lam**2
 
     ds = lam * (TWO_PI / N)
     formula = float(((d_invgrad**2 + (kappa**2 + beta**2) * inv_grad**2) * ds).sum())
@@ -892,14 +807,9 @@ def area_comparison(
         )
     ta, tb = slab.h_minus / mu, slab.h_plus / mu
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_height)
-    tq = 0.5 * (tb - ta) * nodes + 0.5 * (ta + tb)
-    wq = 0.5 * (tb - ta) * weights
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    z = np.exp(tq[:, None] + 1j * theta[None, :])
-    gv = _eval_laurent(data.g_coeffs, z)
-    hv = _eval_laurent(data.h_coeffs, z)
-    lam_w = 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * np.abs(z)
+    tq, wq = gauss_legendre(n_height, ta, tb)
+    z = _circle_grid(tq, n_theta)
+    lam_w = _conformal_factor(eval_g(data, z), eval_h(data, z), z)
     area_sigma = float((wq * (lam_w**2).mean(axis=1) * TWO_PI).sum())
 
     # neck height: minimize the level length over the clipped range
@@ -917,16 +827,8 @@ def area_comparison(
     if ta + 2 * delta < t0 < tb - 2 * delta:
         # Newton polish on L'(t) = 0 with 5-point stencils
         for _ in range(8):
-            stencil = _circle_lengths(
-                data, t0 + delta * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), n_theta
-            )
-            d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (
-                12 * delta
-            )
-            d2 = (
-                -stencil[0] + 16 * stencil[1] - 30 * stencil[2] + 16 * stencil[3] - stencil[4]
-            ) / (12 * delta**2)
-            if d2 <= 0.0:
+            d1, d2 = five_point(_circle_lengths(data, t0 + delta * FIVE_POINT, n_theta), delta)
+            if not (d2 > 0.0):
                 break
             step = d1 / d2
             t0 = float(np.clip(t0 - step, ta, tb))

@@ -81,7 +81,9 @@ def floquet_lambda1(curve, steps: int = 2048, tol: float = 1e-11):
     The discriminant u1(L) + u2'(L) exceeds 2 strictly below the lowest
     periodic eigenvalue and dips below 2 just above it (it exceeds 2 again in
     spectral gaps), so the FIRST downward crossing of 2 is located by an
-    upward scan and then bisected.
+    upward scan and then refined: each pass evaluates 64 interior points of
+    the bracket at once and keeps the cell in front of the first one at or
+    below 2, so a pass costs one vectorized sweep and shrinks the bracket 65x.
     """
     n = len(curve)
     mult = max(1, int(math.ceil(2 * steps / n)))
@@ -128,11 +130,10 @@ def floquet_lambda1(curve, steps: int = 2048, tol: float = 1e-11):
     k = below[0]
     lo, hi = float(grid[k - 1]), float(grid[k])
     while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if float(discriminant(mid)[0]) - 2.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        pts = np.linspace(lo, hi, 66)
+        above = np.append(discriminant(pts[1:-1]) - 2.0 > 0.0, False)  # hi is below
+        j = int(np.argmin(above)) + 1  # first point at or below 2
+        lo, hi = float(pts[j - 1]), float(pts[j])
     return 0.5 * (lo + hi)
 
 

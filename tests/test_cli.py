@@ -53,6 +53,13 @@ class TestCatenoidCommand:
         code, _, err = run_cli(["catenoid", "--input", str(spec)], capsys)
         assert code == 3 and "unknown keys" in err
 
+    def test_area_overflow_exits_4(self, tmp_path, capsys):
+        spec = tmp_path / "thin.json"
+        spec.write_text(json.dumps({"scale": 1e-3}))
+        code, out, err = run_cli(["catenoid", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        json.loads(err, parse_constant=pytest.fail)  # strict JSON: no Infinity/NaN
+
 
 class TestMsCommand:
     def test_low_apex_is_marginal(self, tmp_path, capsys):
@@ -232,6 +239,15 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code, _, err = run_cli(["annulus", "--input", str(bad)], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("name, row", [("g", [1.5, 0.01, 0.0]), ("h", [1, math.nan, 0.0])])
+    def test_bad_weierstrass_row(self, tmp_path, capsys, name, row):
+        doc = json.loads(wz.to_json(wz.catenoid_data(1.0, 1 / math.e, math.e)))
+        doc[name].append(row)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["annulus", "--input", str(bad)], capsys)
+        assert code == 3 and out == ""
 
     def test_nonconvergence_dumps_residuals(self, tmp_path, capsys):
         data = wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)

@@ -68,6 +68,34 @@ class TestValidation:
         with pytest.raises(DataInvalidError):
             wz.WeierstrassData({1: 1.0}, {-1: 1.0}, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "r_inner, r_outer", [(0.5, math.inf), (math.nan, 2.0), (0.5, math.nan)]
+    )
+    def test_non_finite_radii_rejected(self, r_inner, r_outer):
+        with pytest.raises(DataInvalidError):
+            wz.WeierstrassData({1: 1.0}, {-1: 1.0}, r_inner, r_outer)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(DataInvalidError):
+            wz.WeierstrassData({1: 1.0}, {-1: 1.0, 1: bad}, 1 / E, E)
+        with pytest.raises(DataInvalidError):
+            wz.WeierstrassData({1: bad}, {-1: 1.0}, 1 / E, E)
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("g", [1.5, 0.01, 0.0], "non-integer power"),
+            ("h", [1, math.nan, 0.0], "non-finite coefficient"),
+            ("h", [-1.0, 2.0, 0.0], "repeated power"),
+        ],
+    )
+    def test_bad_document_row_rejected(self, cat_data, name, row, message):
+        doc = json.loads(wz.to_json(cat_data))
+        doc[name].append(row)
+        with pytest.raises(DataInvalidError, match=message):
+            wz.from_json(json.dumps(doc))
+
 
 class TestFlux:
     def test_catenoid_flux(self, cat_data):
@@ -126,7 +154,7 @@ class TestImmersion:
         for data in (cat_data, wz.random_annulus_data(rng)):
             ann = wz.immerse(data, (32, 128))
             z = np.exp(ann.log_radii[:, None] + 1j * ann.thetas[None, :])
-            W = wz._phi(data, z)
+            W = wz._phi(wz.eval_g(data, z), wz.eval_h(data, z))
             f_t = (W * z[..., None]).real
             f_th = (W * (1j * z)[..., None]).real
             dot = np.abs((f_t * f_th).sum(axis=-1))
