@@ -1,8 +1,9 @@
 """Command-line surface: deterministic JSON/CSV emission for every computation.
 
-Exit codes: 0 success, 2 bad configuration (flags, tolerance/grid keys),
-3 bad input data (missing/unparsable/invalid files), 4 numerical
-non-convergence (a residual dump goes to stderr).
+Exit codes: 0 success, 2 bad configuration (flags, tolerance/grid keys and
+their bounds), 3 bad input data (missing/unparsable/invalid files, non-finite
+numbers), 4 numerical non-convergence or a non-finite result (a residual dump
+goes to stderr).  Stdout and the dump are strict JSON: no NaN or Infinity.
 
 Numbers are emitted with 15 significant digits; output for a fixed
 configuration and seed is byte-identical.  JSON is the canonical format and
@@ -30,7 +31,7 @@ from .errors import ConvergenceError, DataInvalidError
 
 _COMMANDS = ("catenoid", "lambda0", "ms", "threshold", "annulus", "oval")
 
-# permitted --tol / --grid keys and grid minima, per command
+# permitted --tol keys per command
 _TOL_KEYS = {
     "catenoid": {"area_rtol"},
     "lambda0": set(),
@@ -39,14 +40,17 @@ _TOL_KEYS = {
     "annulus": {"quadrature_rtol", "period_rtol"},
     "oval": {"rtol"},
 }
-_GRID_KEYS = {
-    "catenoid": {"n_height": 2, "n_theta": 4},
+# (minimum, maximum) per --grid key; at the maxima the largest run peaks near
+# 400 MiB (annulus levels x n_theta, catenoid n_height x n_theta)
+_GRID_BOUNDS = {
+    "catenoid": {"n_height": (2, 512), "n_theta": (4, 4096)},
     "lambda0": {},
-    "ms": {"mesh": 16},
-    "threshold": {"mesh": 16},
-    "annulus": {"levels": 5, "n_theta": 8, "trials": 1},
-    "oval": {"n": 64},
+    "ms": {"mesh": (16, 1 << 20)},
+    "threshold": {"mesh": (16, 1 << 20)},
+    "annulus": {"levels": (5, 513), "n_theta": (8, 2048), "trials": (1, 10_000)},
+    "oval": {"n": (64, 1 << 16)},
 }
+_SWEEP_MAX_ROWS = 100_000
 
 
 @dataclass
@@ -73,11 +77,12 @@ class RunConfig:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"tolerance {key} must be positive, got {value}")
         for key, value in self.grid.items():
-            minima = _GRID_KEYS[self.command]
-            if key not in minima:
+            bounds = _GRID_BOUNDS[self.command]
+            if key not in bounds:
                 raise ValueError(f"unknown grid key {key!r} for {self.command}")
-            if value < minima[key]:
-                raise ValueError(f"grid {key} must be >= {minima[key]}, got {value}")
+            lo, hi = bounds[key]
+            if not lo <= value <= hi:
+                raise ValueError(f"grid {key} must be in [{lo}, {hi}], got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +122,26 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return out
 
 
+def _strict(obj):
+    """Non-finite floats as strings ("inf", "nan"), so a dump stays strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _render(payload: dict, rows: list | None, fmt: str) -> str:
     payload = _round15(payload)
+    # the payload holds every CSV row too, so this refuses NaN/inf in both formats
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConvergenceError("result is not finite", payload) from exc
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return text
     records = [_flatten(_round15(r)) for r in rows] if rows else [_flatten(payload)]
     header: list[str] = []
     for rec in records:
@@ -414,7 +435,11 @@ def _run_annulus(config: RunConfig):
 def _run_oval(config: RunConfig):
     doc = _load_input(config)
     _require_keys(doc, {"points", "ellipse", "circle", "n"}, "oval input")
-    n = int(doc.get("n", config.grid.get("n", 256)))
+    n = doc.get("n", config.grid.get("n", 256))
+    n_max = _GRID_BOUNDS["oval"]["n"][1]
+    if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= n_max):
+        raise DataInvalidError(f"'n' must be a whole number <= {n_max}, got {n!r}")
+    n = int(n)
     try:
         if "points" in doc:
             curve = ovals.ClosedCurve(np.asarray(doc["points"], dtype=float))
@@ -474,8 +499,10 @@ def _parse_sweep(text):
     if len(parts) != 3:
         raise ValueError(f"--sweep must be A:B:N, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not lo < hi or lo <= 0:
-        raise ValueError(f"--sweep needs 0 < A < B and N >= 2, got {text!r}")
+    if not (2 <= count <= _SWEEP_MAX_ROWS and 0 < lo < hi < math.inf):
+        raise ValueError(
+            f"--sweep needs 0 < A < B < inf and 2 <= N <= {_SWEEP_MAX_ROWS}, got {text!r}"
+        )
     return lo, hi, count
 
 
@@ -513,15 +540,15 @@ def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     try:
         payload, rows = _HANDLERS[config.command](config)
+        text = _render(payload, rows, config.format)
     except ConvergenceError as exc:
-        dump = {"error": str(exc), "residuals": _round15(exc.residuals)}
-        print(json.dumps(dump, sort_keys=True), file=sys.stderr)
+        dump = {"error": str(exc), "residuals": _strict(_round15(exc.residuals))}
+        print(json.dumps(dump, sort_keys=True, allow_nan=False), file=sys.stderr)
         return 4
     except (DataInvalidError, ValueError) as exc:
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return 3
 
-    text = _render(payload, rows, config.format)
     out_path = config.output_path
     if out_path is None:
         default_dir = os.environ.get("CATSLAB_OUTPUT_DIR")

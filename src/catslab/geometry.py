@@ -179,7 +179,11 @@ def area_by_quadrature(
     f_t = (
         parameterize(piece, hh, tt + dth) - parameterize(piece, hh, tt - dth)
     ) / (2.0 * dth)
-    element = np.linalg.norm(np.cross(f_h, f_t), axis=-1)
+    cross = np.cross(f_h, f_t)
+    # Square under a power-of-two scale (exact in binary): on thin catenoids
+    # the components reach 1e286 while the area is still a finite double.
+    _, exp = np.frexp(np.max(np.abs(cross)))
+    element = np.ldexp(np.linalg.norm(np.ldexp(cross, -exp), axis=-1), exp)
     return float((w_h[:, None] * element).sum() * (TWO_PI / n_theta))
 
 

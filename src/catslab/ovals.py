@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
 
 from .errors import ResolutionError
 from .spectral import TWO_PI, cumulative_integral, fourier_derivative
@@ -112,6 +111,8 @@ class ClosedCurve:
 
     @staticmethod
     def ellipse(a: float, b: float, n: int = 256) -> "ClosedCurve":
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"ellipse axes must be finite, got {a}, {b}")
         u = TWO_PI * np.arange(n) / n
         return ClosedCurve(np.stack([a * np.cos(u), b * np.sin(u), np.zeros(n)], axis=1))
 
@@ -247,6 +248,8 @@ def _galerkin_level(curve: ClosedCurve, K: int):
     L, kappa2_min = float(sigma.mean()), float(kappa2.min())
     if not np.all(np.isfinite(weights)):
         return math.nan, math.nan, L, kappa2_min
+    from scipy.linalg import eigh, toeplitz  # about 0.3 s; loaded on the first solve
+
     # T[j, k] = w_{j-k}; toeplitz() fills w_{-m} = conj(w_m), true for real w
     coef = np.fft.rfft(weights, axis=0)[: 2 * K + 1] / P
     j = np.arange(-K, K + 1)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError
 from .geometry import CatenoidPiece, Slab
@@ -148,6 +147,8 @@ def lowest_jacobi_eigenvalue(
     q = k2 - 2.0 / w
     d = (2.0 / h**2 + q) / w
     e = (-1.0 / h**2) / root
+    from scipy.linalg import eigh_tridiagonal  # about 0.3 s; loaded on the first solve
+
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     u = vecs[:, 0] / np.sqrt(w)
     u = np.concatenate(([0.0], u, [0.0]))

@@ -151,8 +151,9 @@ def spanning_catenoids(
     bisected.  Within ``tangential_rtol`` of the threshold the pair is flagged
     ambiguous and the marginally stable solution is returned.
     """
-    if lower_length <= 0.0 or upper_length <= 0.0:
-        raise ValueError("boundary lengths must be positive")
+    for length in (lower_length, upper_length):
+        if not (math.isfinite(length) and length > 0.0):
+            raise ValueError(f"boundary lengths must be positive and finite, got {length}")
     ms = ms_piece_for_lower_length(lower_length, slab)
     threshold = ms.upper_length
     if abs(upper_length - threshold) <= tangential_rtol * threshold:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from catslab import cli, weierstrass as wz
+from catslab.errors import ConvergenceError
 from catslab.geometry import solve_lambda0
 
 
@@ -12,6 +13,11 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse JSON, failing on the NaN/Infinity tokens that strict JSON lacks."""
+    return json.loads(text, parse_constant=pytest.fail)
 
 
 @pytest.fixture
@@ -58,7 +64,21 @@ class TestCatenoidCommand:
         spec.write_text(json.dumps({"scale": 1e-3}))
         code, out, err = run_cli(["catenoid", "--input", str(spec)], capsys)
         assert code == 4 and out == ""
-        json.loads(err, parse_constant=pytest.fail)  # strict JSON: no Infinity/NaN
+        strict_json(err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [3e-3, 4e-3, 5e-3])
+    def test_thin_catenoid_quadrature_stays_finite(self, tmp_path, capsys, scale):
+        # the closed form is finite here, but the squared area element is not
+        spec = tmp_path / "thin.json"
+        spec.write_text(json.dumps({"scale": scale}))
+        code, out, err = run_cli(["catenoid", "--input", str(spec)], capsys)
+        if code == 0:
+            doc = strict_json(out)
+            assert doc["residuals"]["area_rel"] <= doc["tolerances"]["area_rtol"]
+        else:
+            assert code == 4 and out == ""
+            assert math.isfinite(strict_json(err)["residuals"]["relative_residual"])
 
 
 class TestMsCommand:
@@ -104,6 +124,28 @@ class TestThresholdCommand:
     def test_bad_sweep_spec(self, capsys):
         code, _, err = run_cli(["threshold", "--sweep", "5:1:10"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("upper_length", "inf"), ("upper_length", math.inf),
+         ("upper_length", math.nan), ("lower_length", math.inf)],
+    )
+    def test_non_finite_length_refused(self, tmp_path, capsys, key, value):
+        doc = {"lower_length": 1.0, "upper_length": 3.0, key: value}
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps(doc))  # math.inf is written as Infinity
+        code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
+        assert code == 3 and out == ""
+        assert "finite" in err
+
+    def test_overflowing_residual_exits_4(self, tmp_path, capsys):
+        # a finite pair whose solutions' upper circles overflow a double
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps({"lower_length": 1.0, "upper_length": 1e308}))
+        code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        dump = strict_json(err)
+        assert dump["residuals"]["residuals"]["max_solution_rel"] == "inf"
 
 
 class TestAnnulusCommand:
@@ -168,6 +210,17 @@ class TestOvalCommand:
         assert code == 0
         assert json.loads(out)["below_conjectured_constant"] is False
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"ellipse": [2, 1], "n": math.inf}, {"ellipse": [2, 1], "n": 1.5},
+         {"ellipse": [2, 1], "n": 10**6}, {"ellipse": [2, math.inf]}, {"circle": [math.nan]}],
+    )
+    def test_bad_curve_spec_exits_3(self, tmp_path, capsys, doc):
+        spec = tmp_path / "curve.json"
+        spec.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["oval", "--input", str(spec)], capsys)
+        assert code == 3 and out == ""
+
     def test_degenerate_ellipse_exits_4(self, tmp_path, capsys):
         spec = tmp_path / "needle.json"
         spec.write_text(json.dumps({"ellipse": [1, 1e-6]}))
@@ -218,6 +271,20 @@ class TestExitCodes:
         code, _, err = run_cli(["ms", "--grid", "mesh=8"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["annulus", "--grid", "levels=100000"],
+         ["annulus", "--grid", "trials=1000000"],
+         ["catenoid", "--grid", "n_theta=1000000"],
+         ["ms", "--grid", "mesh=1000000000"],
+         ["oval", "--grid", "n=1000000"],
+         ["threshold", "--sweep", "1:2:1000000000"]],
+    )
+    def test_grid_above_maximum(self, capsys, args):
+        # refused while the configuration is checked, before anything is allocated
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and "bad configuration" in err
+
     def test_negative_tolerance(self, capsys):
         code, _, _ = run_cli(["oval", "--tol", "rtol=-1"], capsys)
         assert code == 2
@@ -248,6 +315,23 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code, out, _ = run_cli(["annulus", "--input", str(bad)], capsys)
         assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_exits_4(self, capsys, monkeypatch, fmt):
+        rows = [{"x": 1.0}, {"x": math.nan}]
+        monkeypatch.setitem(cli._HANDLERS, "lambda0", lambda config: ({"table": rows}, rows))
+        code, out, err = run_cli(["lambda0", "--format", fmt], capsys)
+        assert code == 4 and out == ""
+        assert strict_json(err)["residuals"]["table"][1]["x"] == "nan"
+
+    def test_non_finite_residual_dump_is_strict(self, capsys, monkeypatch):
+        def fail(config):
+            raise ConvergenceError("diverged", {"residual": math.inf, "trace": [1.0, -math.inf]})
+
+        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        code, out, err = run_cli(["lambda0"], capsys)
+        assert code == 4 and out == ""
+        assert strict_json(err)["residuals"] == {"residual": "inf", "trace": [1.0, "-inf"]}
 
     def test_nonconvergence_dumps_residuals(self, tmp_path, capsys):
         data = wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)

@@ -71,6 +71,15 @@ class TestArea:
             quad = geo.area_by_quadrature(piece)
             assert abs(closed - quad) / closed < 1e-8
 
+    @pytest.mark.parametrize("lam", [3e-3, 4e-3, 5e-3])
+    def test_quadrature_finite_on_thin_catenoids(self, lam):
+        # the area element reaches 1e286 here: squaring it must not overflow
+        piece = CatenoidPiece(lam, 0.0, CANON)
+        closed = geo.area_in_slab(piece)
+        quad = geo.area_by_quadrature(piece)
+        assert math.isfinite(closed) and math.isfinite(quad)
+        assert abs(closed - quad) / closed < 1e-3  # 4.6e-5 at 3e-3 (FD step / lam)
+
     def test_even_in_offset(self):
         a = geo.area_in_slab(CatenoidPiece(0.7, 0.3, CANON))
         b = geo.area_in_slab(CatenoidPiece(0.7, -0.3, CANON))

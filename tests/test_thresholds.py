@@ -155,6 +155,11 @@ class TestSpanning:
         with pytest.raises(ValueError):
             th.spanning_catenoids(0.0, 1.0, CANON)
 
+    @pytest.mark.parametrize("lower, upper", [(1.0, math.inf), (1.0, math.nan), (math.inf, 3.0)])
+    def test_rejects_non_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            th.spanning_catenoids(lower, upper, CANON)
+
 
 def test_threshold_asymptotics_measured_only():
     # the behavior of F toward 0 and infinity is reported, not asserted
