@@ -401,11 +401,7 @@ def _run_annulus(config: RunConfig):
             "t": float(profile.log_radii[i]),
             "height": float(profile.heights[i]),
             "length": float(profile.lengths[i]),
-            "second_derivative": (
-                float(profile.second_derivative[i])
-                if np.isfinite(profile.second_derivative[i])
-                else ""
-            ),
+            "second_derivative": float(profile.second_derivative[i]),
         }
         for i in range(profile.log_radii.size)
     ]

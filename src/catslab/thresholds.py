@@ -199,11 +199,18 @@ def spanning_catenoids(
         if all(abs(lam - l2) + abs(c - c2) > dedup_tol for l2, c2 in deduped):
             deduped.append((lam, c))
 
-    pieces, residuals = [], []
-    for lam, c in deduped:
-        piece = CatenoidPiece(lam, c, slab)
-        r_lo = TWO_PI * lam * _cosh((slab.h_minus - c) / lam) - lower_length
-        r_hi = TWO_PI * lam * _cosh((slab.h_plus - c) / lam) - upper_length
-        residuals.append(max(abs(r_lo) / lower_length, abs(r_hi) / upper_length))
-        pieces.append(piece)
+    def relative_residual(lam: float, c: float, height: float, length: float) -> float:
+        # |2*pi*lam*cosh((height - c)/lam) / length - 1| in log form: thin
+        # solutions have boundary circles whose length overflows a double
+        log_ratio = math.log(TWO_PI * lam) + float(_log_cosh((height - c) / lam)) - math.log(length)
+        return abs(math.expm1(log_ratio))
+
+    pieces = [CatenoidPiece(lam, c, slab) for lam, c in deduped]
+    residuals = [
+        max(
+            relative_residual(lam, c, slab.h_minus, lower_length),
+            relative_residual(lam, c, slab.h_plus, upper_length),
+        )
+        for lam, c in deduped
+    ]
     return SpanningResult(pieces, deduped, False, threshold, residuals)

@@ -15,15 +15,24 @@ circumference scale of the annulus.
 
 The length of the image of the circle |z| = e^t,
 
-    L(t) = 1/2 Int (|z g h| + |z h / g|) dtheta,
+    L(t) = 1/2 Int (|F1| + |F2|) dtheta,      F1 = z g h,  F2 = z h / g,
 
 is log-convex in the strong sense L''(t) >= L(t), with equality exactly on
 planar and catenoidal data; the reference instance g = z, h = lam/z gives the
-scale-lam vertical catenoid with L(t) = 2*pi*lam*cosh(t).  On data in vertical
-gauge (h = mu/z exactly) the circles are the horizontal level sets, heights
-are mu*t, and the module can compare areas against the flux-matched catenoid
-and test the second-derivative decomposition of level-set length along the
-level curves.
+scale-lam vertical catenoid with L(t) = 2*pi*lam*cosh(t).  Both derivatives
+are exact circle integrals: with u = z F'/F, d|F|/dt = |F| Re u, and the
+(t, theta)-Laplacian of |F| is |F| |u|^2 for holomorphic nonvanishing F, so
+
+    L'(t)  = 1/2 Int (|F1| Re u1 + |F2| Re u2) dtheta,
+    L''(t) = 1/2 Int (|F1| |u1|^2 + |F2| |u2|^2) dtheta,
+
+with u1 = 1 + z g'/g + z h'/h and u2 = 1 - z g'/g + z h'/h.  Circle grids are
+separable: on z = e^t w with w = e^{i theta}, z^p = e^{pt} w^p, so a series on
+a (levels x angles) grid is one (levels x powers) @ (powers x angles) product.
+On data in vertical gauge (h = mu/z exactly) the circles are the horizontal
+level sets, heights are mu*t, and the module can compare areas against the
+flux-matched catenoid and test the second-derivative decomposition of
+level-set length along the level curves.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 from . import geometry
 from .errors import DataInvalidError, ResolutionError
 from .geometry import CatenoidPiece, Slab
+from .rootfind import bracketed_root
 from .spectral import FIVE_POINT, TWO_PI, cumulative_integral, five_point, fourier_derivative
 from .spectral import gauss_legendre, periodic_integral, periodic_nodes
 
@@ -65,6 +75,8 @@ class WeierstrassData:
     h_coeffs: dict
     r_inner: float
     r_outer: float
+    # validate() results by keyword arguments; the data is immutable, so they stay true
+    _validations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer < math.inf):
@@ -91,15 +103,24 @@ class WeierstrassData:
         )
 
 
-def _eval_laurent(coeffs: dict, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for p, c in coeffs.items():
-        out = out + c * np.asarray(z, dtype=complex) ** p
+def _eval_laurent(coeffs: dict, z) -> np.ndarray:
+    """Sum of c_p z^p at arbitrary points by a ladder of powers: each z^p comes
+    from the previous power times z (or 1/z), not from a complex ``z**p``."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, complex(coeffs.get(0, 0.0)))
+    for sign in (1, -1):
+        exponents = sorted(sign * p for p in coeffs if sign * p > 0)
+        base = (z if sign > 0 else 1.0 / z) if exponents else None
+        power, k = 1.0, 0
+        for e in exponents:
+            power, k = power * base ** (e - k), e
+            out = out + coeffs[sign * e] * power
     return out
 
 
-def _derivative_coeffs(coeffs: dict) -> dict:
-    return {p - 1: p * c for p, c in coeffs.items() if p != 0}
+def _z_derivative(coeffs: dict) -> dict:
+    """Laurent coefficients of z f'(z)."""
+    return {p: p * c for p, c in coeffs.items() if p != 0}
 
 
 def eval_g(data: WeierstrassData, z) -> np.ndarray:
@@ -148,31 +169,45 @@ def from_json(text: str) -> WeierstrassData:
 # ---------------------------------------------------------------------------
 
 
-def _circle(rho, n: int) -> np.ndarray:
-    """Points rho * e^{i theta} on n uniform angles; one row per radius for an array rho."""
-    return np.multiply.outer(rho, np.exp(1j * periodic_nodes(n)))
+def _on_circles(tables, ts, n: int) -> list:
+    """Laurent series on the circles |z| = e^t, one row per t in ``ts``, at the
+    n angles of ``periodic_nodes(n)``.
+
+    z^p = e^{pt} w^p, and w^p at angle k is the n-th root of unity of index
+    p*k mod n, read from one table.  So each series is one (levels x powers)
+    @ (powers x angles) product, with no complex power taken.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    roots = np.exp(1j * periodic_nodes(n))
+    k = np.arange(n)
+    out = []
+    for coeffs in tables:
+        residues = np.array([p % n for p in coeffs], dtype=np.int64)
+        angular = roots[np.multiply.outer(residues, k) % n]
+        radial = np.exp(np.multiply.outer(ts, np.array(list(coeffs), dtype=float)))
+        out.append((radial * np.array(list(coeffs.values()), dtype=complex)) @ angular)
+    return out
 
 
-def _circle_grid(ts: np.ndarray, n: int) -> np.ndarray:
-    """Points e^{t + i theta}: one row of n uniform angles per log-radius t."""
-    return np.exp(ts[:, None] + 1j * periodic_nodes(n)[None, :])
+def _level_lengths(data: WeierstrassData, ts, n: int):
+    """Speeds |F1| = |z g h| and |F2| = |z h / g| on the grid of ``ts`` x n
+    angles (half their sum is the speed of the circle image in theta), and
+    L, L' and L'' at each t (see the module docstring)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    g, h = data.g_coeffs, data.h_coeffs
+    gv, hv, zdg, zdh = _on_circles([g, h, _z_derivative(g), _z_derivative(h)], ts, n)
+    r = np.exp(ts)[:, None]
+    a, b = r * np.abs(gv * hv), r * np.abs(hv / gv)
+    u1, u2 = 1.0 + zdg / gv + zdh / hv, 1.0 - zdg / gv + zdh / hv
+    lengths = periodic_integral(0.5 * (a + b))
+    first = periodic_integral(0.5 * (a * u1.real + b * u2.real))
+    second = periodic_integral(0.5 * (a * np.abs(u1) ** 2 + b * np.abs(u2) ** 2))
+    return a, b, lengths, first, second
 
 
-def _level_speeds(data: WeierstrassData, z: np.ndarray):
-    """|z g h| and |z h / g|: half their sum is the speed of the circle image in theta."""
-    gv, hv = eval_g(data, z), eval_h(data, z)
-    return np.abs(z * gv * hv), np.abs(z * hv / gv)
-
-
-def _circle_lengths(data: WeierstrassData, ts: np.ndarray, n_theta: int) -> np.ndarray:
-    """Lengths of the images of |z| = e^t for each t, by periodic trapezoid rule."""
-    a, b = _level_speeds(data, _circle_grid(ts, n_theta))
-    return periodic_integral(0.5 * (a + b))
-
-
-def _conformal_factor(gv, hv, z):
+def _conformal_factor(gv, hv, r):
     """Metric factor of the immersion against the flat (log|z|, theta) cylinder."""
-    return 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * np.abs(z)
+    return 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * r
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +222,21 @@ def _winding_number(values: np.ndarray) -> int:
     return int(round(increments.sum() / TWO_PI))
 
 
-def _loop_flux(data: WeierstrassData, rho: float, n: int):
-    """Loop integrals of h dz, g h dz and h/g dz around |z| = rho and the flux
-    vector they give; raises DataInvalidError unless the vertical flux is positive."""
-    z = _circle(rho, n)
-    gv, hv = eval_g(data, z), eval_h(data, z)
-    dz = 1j * z
-    p_h, p_gh, p_gih = (complex(periodic_integral(v * dz)) for v in (hv, gv * hv, hv / gv))
-    fl = np.array([(0.5 * (p_gih - p_gh)).imag, (0.5j * (p_gih + p_gh)).imag, p_h.imag])
+def _loop_flux(data: WeierstrassData, t: float, n: int):
+    """Loop integrals of h dz, g h dz and h/g dz around |z| = e^t, each divided
+    by i, and the flux vector they give; raises DataInvalidError unless the
+    vertical flux is positive."""
+    zh = {p + 1: c for p, c in data.h_coeffs.items()}  # h dz = i z h dtheta
+    gv, zhv = (v[0] for v in _on_circles([data.g_coeffs, zh], [t], n))
+    q_h, q_gh, q_gih = (complex(periodic_integral(v)) for v in (zhv, gv * zhv, zhv / gv))
+    fl = np.array([0.5 * (q_gih.real - q_gh.real), -0.5 * (q_gih.imag + q_gh.imag), q_h.real])
+    fl += 0.0  # reports 0.0, not -0.0, for an exactly vertical flux
     if not (fl[2] > 0.0):
         raise DataInvalidError(f"vertical flux must be positive, got {fl[2]:.3e}")
-    return fl, p_h, p_gh, p_gih
+    return fl, q_h, q_gh, q_gih
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataValidation:
     winding: int
     min_modulus_g: float
@@ -225,11 +261,16 @@ def validate(
     spaced circles from the inner to the outer one.  The residue conditions
     (real residue of h, vanishing z^-1 coefficients of g*h and h/g) are
     measured by spectrally accurate loop integrals and compared against
-    ``period_rtol`` times the vertical flux.
+    ``period_rtol`` times the vertical flux.  A passing result is kept on the
+    (immutable) data and returned again for the same keyword arguments.
     """
+    key = (n_scan, n_circles, min_modulus, period_rtol)
+    if key in data._validations:
+        return data._validations[key]
     if n_circles < 2:
         raise ValueError("n_circles must include the inner and outer circles")
-    gv = eval_g(data, _circle(np.geomspace(data.r_inner, data.r_outer, n_circles), n_scan))
+    t_lo, t_hi = math.log(data.r_inner), math.log(data.r_outer)
+    (gv,) = _on_circles([data.g_coeffs], np.linspace(t_lo, t_hi, n_circles), n_scan)
     windings = _winding_number(gv[0]), _winding_number(gv[-1])
     min_mod = float(np.abs(gv).min())
     if windings[0] != windings[1]:
@@ -241,37 +282,24 @@ def validate(
             f"g modulus {min_mod:.3e} below margin {min_modulus:.3e} on scanned circles"
         )
 
-    fl, p_h, p_gh, p_gih = _loop_flux(data, math.sqrt(data.r_inner * data.r_outer), n_scan)
-    f3 = p_h.imag
-    residuals = {"height_period": abs(p_h.real), "g_dh": abs(p_gh), "ginv_dh": abs(p_gih)}
+    fl, q_h, q_gh, q_gih = _loop_flux(data, 0.5 * (t_lo + t_hi), n_scan)
+    f3 = q_h.real
+    residuals = {"height_period": abs(q_h.imag), "g_dh": abs(q_gh), "ginv_dh": abs(q_gih)}
     worst = max(residuals.values())
     if not (worst <= period_rtol * f3):
         raise DataInvalidError(
             f"period residuals {residuals} exceed {period_rtol:.1e} * F3 = {period_rtol * f3:.3e}"
         )
-    return DataValidation(windings[0], min_mod, residuals, fl, f3, f3 / TWO_PI)
+    fl.flags.writeable = False
+    result = DataValidation(windings[0], min_mod, residuals, fl, f3, f3 / TWO_PI)
+    data._validations[key] = result
+    return result
 
 
 def flux(data: WeierstrassData, *, n: int = 2048, radius: float | None = None) -> np.ndarray:
     """Flux vector of the core circle (homology invariant; any radius works)."""
     rho = radius if radius is not None else math.sqrt(data.r_inner * data.r_outer)
-    return _loop_flux(data, rho, n)[0]
-
-
-def required_rotation(data: WeierstrassData, *, rtol: float = 1e-10):
-    """Axis-angle rotation that would make the flux vertical (angle 0 if it is).
-
-    The module requires vertical flux of its inputs rather than rotating them;
-    this helper reports what an upstream producer would have to apply.
-    """
-    fl = flux(data)
-    horizontal = math.hypot(fl[0], fl[1])
-    norm = float(np.linalg.norm(fl))
-    if horizontal <= rtol * norm:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    axis = np.cross(fl, [0.0, 0.0, 1.0])
-    axis = axis / np.linalg.norm(axis)
-    return axis, math.atan2(horizontal, fl[2])
+    return _loop_flux(data, math.log(rho), n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +345,7 @@ def adjust_height_for_periods(
     h = {int(p): complex(c) for p, c in h_coeffs.items() if p not in (-2, -1, 0)}
     h[-1] = complex(flux_scale)
 
-    ginv = 1.0 / _eval_laurent(g, _circle(1.0, n_fft))
+    ginv = 1.0 / _on_circles([g], [0.0], n_fft)[0][0]
     q = _laurent_coeffs(ginv, {-1 - k for k in list(h) + [-2, 0]})
 
     # [g*h]_{-1} = sum_p g_p h_{-1-p};  [h/g]_{-1} = sum_k q_{-1-k} h_k
@@ -379,7 +407,6 @@ def vertical_annulus_data(
     [G]_{-1} = 0 (imposed by construction) and [1/G]_1 = 0, enforced by a
     Newton iteration on the z^1 coefficient of G.
     """
-    z1 = _circle(1.0, 4096)
     for _ in range(max_tries):
         G = {0: 1.0 + 0.0j, 1: 0.0j}
         for p in (-3, -2, 1, 2):
@@ -389,7 +416,7 @@ def vertical_annulus_data(
             )
         ok = False
         for _ in range(25):
-            Gv = _eval_laurent(G, z1)
+            Gv = _on_circles([G], [0.0], 4096)[0][0]
             target = _laurent_coeffs(1.0 / Gv, [1])[1]
             if abs(target) <= 1e-14:
                 ok = True
@@ -454,51 +481,40 @@ def level_profile(
     num_levels: int = 33,
     *,
     n_theta: int = 512,
-    fd_step: float = 1e-3,
     quadrature_rtol: float = 1e-8,
     min_modulus_rel: float = 1e-9,
 ) -> LevelProfile:
-    """Level-length profile L(t) with a dedicated 5-point stencil for L''(t).
+    """Level-length profile L(t) with the exact circle integral for L''(t)
+    (module docstring) at every level, edges included.
 
     Levels where z*g*h or z*h/g comes within ``min_modulus_rel`` of vanishing
     are skipped and recorded (L'' is continuous across such circles but the
     integrand loses smoothness, so nothing is extrapolated through them).
-    Quadrature is accepted only if doubling the node count moves no length by
-    more than ``quadrature_rtol`` relatively.
+    Quadrature is accepted only if doubling the ``n_theta`` angles moves no
+    length by more than ``quadrature_rtol`` relatively.  One grid at the
+    doubled count is evaluated; its even nodes are the ``n_theta`` grid.
     """
     if num_levels < 5:
         raise ValueError("need at least 5 levels")
     val = validate(data)
-    t_lo, t_hi = math.log(data.r_inner), math.log(data.r_outer)
-    ts = np.linspace(t_lo, t_hi, num_levels)
+    ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), num_levels)
+    a, b, lengths, _, second = _level_lengths(data, ts, 2 * n_theta)
 
-    a, b = _level_speeds(data, _circle_grid(ts, n_theta))
+    a, b = a[:, ::2], b[:, ::2]  # the n_theta-angle grid
     scale = max(a.max(), b.max())
     keep = (a.min(axis=1) > min_modulus_rel * scale) & (b.min(axis=1) > min_modulus_rel * scale)
     skipped = [int(i) for i in np.nonzero(~keep)[0]]
-    ts_kept = ts[keep]
+    ts_kept, lengths, second = ts[keep], lengths[keep], second[keep]
     if ts_kept.size < 5:
         raise DataInvalidError("too few usable levels after skipping near-zeros")
 
-    lengths = periodic_integral(0.5 * (a + b)[keep])
-    lengths_2n = _circle_lengths(data, ts_kept, 2 * n_theta)
-    disagreement = np.abs(lengths - lengths_2n) / np.abs(lengths_2n)
+    lengths_n = periodic_integral(0.5 * (a + b)[keep])
+    disagreement = np.abs(lengths_n - lengths) / np.abs(lengths)
     if not (disagreement.max() <= quadrature_rtol):
         raise ResolutionError(
             "level-length quadrature did not converge",
             {"max_relative_disagreement": float(disagreement.max()), "n_theta": n_theta},
         )
-    lengths = lengths_2n
-
-    # dedicated 5-point central stencil for L''(t); only where it fits
-    second = np.full(ts_kept.size, np.nan)
-    fits = (ts_kept - 2 * fd_step >= t_lo) & (ts_kept + 2 * fd_step <= t_hi)
-    if fits.any():
-        offsets = np.delete(FIVE_POINT, 2) * fd_step
-        stencil_ts = (ts_kept[fits][:, None] + offsets[None, :]).ravel()
-        stencil = _circle_lengths(data, stencil_ts, n_theta).reshape(-1, 4)
-        second[fits] = five_point(np.insert(stencil, 2, lengths[fits], axis=1), fd_step)[1]
-
     return LevelProfile(ts_kept, val.mu * ts_kept, lengths, second, val.f3, val.mu, skipped)
 
 
@@ -518,10 +534,7 @@ def convexity_check(profile: LevelProfile, *, equality_rtol: float = 1e-6) -> Co
     the log-gauge slack divided by mu^2.  The equality flag marks profiles that
     saturate the bound everywhere (planar or catenoidal data).
     """
-    finite = np.isfinite(profile.second_derivative)
-    if not finite.any():
-        raise ValueError("profile has no interior levels with a second derivative")
-    slack = profile.second_derivative[finite] - profile.lengths[finite]
+    slack = profile.second_derivative - profile.lengths
     min_slack = float(slack.min())
     max_abs = float(np.abs(slack).max())
     equality = bool(max_abs <= equality_rtol * profile.lengths.max())
@@ -550,12 +563,10 @@ def cpx_inequality_check(
     scale = max(abs(c) for c in coeffs.values())
     if abs(coeffs.get(0, 0.0)) > 1e-15 * scale:
         raise ValueError("constant Laurent coefficient of F must vanish")
-    z = _circle(rho, n)
-    Fv = _eval_laurent(coeffs, z)
+    Fv, zFpv = (v[0] for v in _on_circles([coeffs, _z_derivative(coeffs)], [math.log(rho)], n))
     if np.abs(Fv).min() < min_modulus_rel * np.abs(Fv).max():
         raise ValueError("F vanishes (or nearly) on the circle")
-    Fpv = _eval_laurent(_derivative_coeffs(coeffs), z)
-    lhs = float(periodic_integral(rho**2 * np.abs(Fpv) ** 2 / np.abs(Fv)))
+    lhs = float(periodic_integral(np.abs(zFpv) ** 2 / np.abs(Fv)))
     rhs = float(periodic_integral(np.abs(Fv)))
     return CircleMeanReport(lhs, rhs, lhs - rhs)
 
@@ -572,20 +583,23 @@ def _phi(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.stack([0.5 * (ginv - gv) * hv, 0.5j * (ginv + gv) * hv, hv + 0.0j], axis=-1)
 
 
-def _hopf(data: WeierstrassData, z, gv, hv):
-    """Hopf-type quadratic coefficient g'/g * h * z^2 in w = log z."""
-    return _eval_laurent(_derivative_coeffs(data.g_coeffs), z) / gv * hv * z**2
+def _immersion_tables(data: WeierstrassData, ts, n: int):
+    """z, g, h and the Hopf-type coefficient q = g'/g * h * z^2 (in w = log z)
+    on the circle grid of ``ts`` x n angles."""
+    gv, hv, zdg = _on_circles([data.g_coeffs, data.h_coeffs, _z_derivative(data.g_coeffs)], ts, n)
+    z = np.exp(np.atleast_1d(ts))[:, None] * np.exp(1j * periodic_nodes(n))
+    return z, gv, hv, zdg / gv * hv * z
 
 
-def _radial_cumulative(data: WeierstrassData, ts: np.ndarray, phase: complex = 1.0 + 0.0j):
-    """Cumulative integral of the Weierstrass integrand along the ray arg z = arg(phase)."""
-    out = np.zeros((ts.size, 3), dtype=complex)
-    for j in range(1, ts.size):
-        tau, w = gauss_legendre(12, ts[j - 1], ts[j])
-        zq = np.exp(tau) * phase
-        vals = _phi(eval_g(data, zq), eval_h(data, zq)) * zq[:, None]  # dz = z dtau
-        out[j] = out[j - 1] + (w[:, None] * vals).sum(axis=0)
-    return out
+def _radial_cumulative(data: WeierstrassData, ts: np.ndarray) -> np.ndarray:
+    """Cumulative integrals of the Weierstrass integrand from ts[0] along the
+    rays arg z = 0 and arg z = pi, shape (levels, 2 rays, 3): a 12-point
+    Gauss rule per level interval, all nodes evaluated at once."""
+    tau, w = gauss_legendre(12, ts[:-1, None], ts[1:, None])
+    z, gv, hv, _ = _immersion_tables(data, tau.ravel(), 2)
+    vals = (_phi(gv, hv) * z[..., None]).reshape(tau.shape + (2, 3))  # dz = z dtau
+    steps = (w[:, :, None, None] * vals).sum(axis=1)
+    return np.concatenate([np.zeros((1, 2, 3), dtype=complex), np.cumsum(steps, axis=0)])
 
 
 @dataclass
@@ -642,8 +656,7 @@ def immerse(
     val = validate(data, period_rtol=period_rtol)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), M)
     thetas = periodic_nodes(N)
-    z = _circle_grid(ts, N)
-    gv, hv = eval_g(data, z), eval_h(data, z)
+    z, gv, hv, q = _immersion_tables(data, ts, N)
 
     f_ang = _phi(gv, hv) * (1j * z)[..., None]  # integrand for d theta
     I_ang, periods = cumulative_integral(np.moveaxis(f_ang, -1, 0).reshape(3 * M, N))
@@ -651,9 +664,9 @@ def immerse(
     periods = periods.reshape(3, M)
 
     R = _radial_cumulative(data, ts)
-    F = (R[:, None, :] + I_ang).real
+    F = (R[:, 0][:, None, :] + I_ang).real
 
-    metric = _conformal_factor(gv, hv, z)
+    metric = _conformal_factor(gv, hv, np.abs(z))
     if not (metric.min() >= min_metric_rel * np.median(metric)):
         raise DataInvalidError(
             f"branch point: metric factor {metric.min():.3e} vanishes on the grid"
@@ -663,7 +676,6 @@ def immerse(
     normal = np.stack([2.0 * gv.real, 2.0 * gv.imag, absg2 - 1.0], axis=-1)
     normal = normal / (absg2 + 1.0)[..., None]
 
-    q = _hopf(data, z, gv, hv)
     second_form = np.stack([q.real, -q.imag, -q.imag, -q.real], axis=-1).reshape(z.shape + (2, 2))
 
     size = max(1.0, float(np.ptp(F.reshape(-1, 3), axis=0).max()))
@@ -675,8 +687,7 @@ def immerse(
             )
         # opposite-meridian cross check (theta index N//2 is pi)
         k_pi = N // 2
-        R_pi = _radial_cumulative(data, ts, phase=complex(math.cos(math.pi), math.sin(math.pi)))
-        alt = (R[0][None, :] + I_ang[0, k_pi][None, :] + (R_pi - R_pi[0][None, :])).real
+        alt = (R[0, 0] + I_ang[0, k_pi] + (R[:, 1] - R[0, 1])).real
         defect = np.abs(alt - F[:, k_pi, :]).max()
         if not (defect <= path_rtol * size):
             raise DataInvalidError(
@@ -690,14 +701,6 @@ def immerse(
         F[..., 2] -= F[j_mid, :, 2].mean() - val.mu * ts[j_mid]
 
     return SampledAnnulus(F, metric, normal, second_form, val.f3, val.mu, ts, thetas, data)
-
-
-def measured_modulus(annulus: SampledAnnulus) -> float:
-    """Conformal circumference scale measured from the immersion itself: the
-    rate of the angular mean of x3 against log-radius (equals F3/2pi)."""
-    mean_height = annulus.grid[..., 2].mean(axis=1)
-    slope = np.polyfit(annulus.log_radii, mean_height, 1)[0]
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +752,11 @@ def second_derivative_decomposition(
         )
     mu = annulus.modulus_mu
 
-    d2_dt2 = five_point(_circle_lengths(data, t + fd_step * FIVE_POINT, N), fd_step)[1]
+    # lengths only: the stencil is the independent check on the formula
+    d2_dt2 = five_point(_level_lengths(data, t + fd_step * FIVE_POINT, N)[2], fd_step)[1]
     fd_value = d2_dt2 / mu**2  # heights are mu * t in vertical gauge
 
-    z = np.exp(t) * np.exp(1j * annulus.thetas)
-    gv, hv = eval_g(data, z), eval_h(data, z)
+    z, gv, hv, q = (v[0] for v in _immersion_tables(data, t, N))
     c_prime = (_phi(gv, hv) * (1j * z)[:, None]).real  # d/dtheta of the immersed curve
     c_second = fourier_derivative(c_prime)
 
@@ -764,7 +767,7 @@ def second_derivative_decomposition(
     lam = annulus.metric_factor[level_index]
     inv_grad = lam / mu  # 1/|grad x3| on the level
     d_invgrad = fourier_derivative(inv_grad) / lam
-    beta = -_hopf(data, z, gv, hv).imag / lam**2
+    beta = -q.imag / lam**2
 
     ds = lam * (TWO_PI / N)
     formula = float(((d_invgrad**2 + (kappa**2 + beta**2) * inv_grad**2) * ds).sum())
@@ -794,8 +797,11 @@ def area_comparison(
     Heights are the conformal-gauge heights mu * log|z| (exactly the ambient
     heights for vertical-gauge and catenoid data).  The comparison catenoid has
     scale mu = F3/(2*pi) and neck at the height minimizing the level-length
-    profile; its clipped area comes from the closed form in ``geometry``.
-    Also reports the worst per-level length gap against the catenoid profile.
+    profile over the slab; its clipped area comes from the closed form in
+    ``geometry``.  L'' >= L > 0 makes L' strictly increasing, so that neck is
+    an end of the range or the one root of L', bracketed by the signs of L' on
+    the ``num_levels`` levels.  Also reports the worst per-level length gap
+    against the catenoid profile.
     """
     val = validate(data)
     mu = val.mu
@@ -808,37 +814,29 @@ def area_comparison(
     ta, tb = slab.h_minus / mu, slab.h_plus / mu
 
     tq, wq = gauss_legendre(n_height, ta, tb)
-    z = _circle_grid(tq, n_theta)
-    lam_w = _conformal_factor(eval_g(data, z), eval_h(data, z), z)
+    gv, hv = _on_circles([data.g_coeffs, data.h_coeffs], tq, n_theta)
+    lam_w = _conformal_factor(gv, hv, np.exp(tq)[:, None])
     area_sigma = float((wq * (lam_w**2).mean(axis=1) * TWO_PI).sum())
 
-    # neck height: minimize the level length over the clipped range
-    from scipy.optimize import minimize_scalar
-
-    length_at = lambda t: float(_circle_lengths(data, np.array([t]), n_theta)[0])
-    res = minimize_scalar(
-        length_at, bounds=(ta, tb), method="bounded", options={"xatol": 1e-10}
-    )
-    t0 = float(np.clip(res.x, ta, tb))
-    for t_end in (ta, tb):  # guard against an interior plateau hiding an end minimum
-        if length_at(t_end) < length_at(t0):
-            t0 = t_end
-    delta = 1e-3
-    if ta + 2 * delta < t0 < tb - 2 * delta:
-        # Newton polish on L'(t) = 0 with 5-point stencils
-        for _ in range(8):
-            d1, d2 = five_point(_circle_lengths(data, t0 + delta * FIVE_POINT, n_theta), delta)
-            if not (d2 > 0.0):
-                break
-            step = d1 / d2
-            t0 = float(np.clip(t0 - step, ta, tb))
-            if abs(step) < 1e-13:
-                break
+    levels = np.linspace(ta, tb, num_levels)
+    _, _, L_sigma, slope, _ = _level_lengths(data, levels, n_theta)
+    if slope[0] >= 0.0:
+        t0 = ta
+    elif slope[-1] <= 0.0:
+        t0 = tb
+    else:
+        j = int(np.argmax(slope > 0.0))
+        t0 = bracketed_root(
+            lambda t: float(_level_lengths(data, t, n_theta)[3][0]),
+            float(levels[j - 1]),
+            float(levels[j]),
+            lambda t: float(_level_lengths(data, t, n_theta)[4][0]),
+            bisect_width=float(levels[j] - levels[j - 1]),  # Newton from the bracketing cell
+            residual_tol=1e-12 * float(L_sigma.max()),
+        )
     h0 = mu * t0
     area_cat = geometry.area_in_slab(CatenoidPiece(mu, h0, slab))
 
-    levels = np.linspace(ta, tb, num_levels)
-    L_sigma = _circle_lengths(data, levels, n_theta)
     L_cat = TWO_PI * mu * np.cosh(levels - t0)
     level_gap_min = float((L_sigma - L_cat).min())
 

@@ -4,7 +4,8 @@ Each oracle deliberately avoids the closed forms implemented in the package:
 tangent vectors come from finite differences of the parameterization, lengths
 from discretized line integrals, eigenvalues from monodromy shooting or dense
 collocation on uniform-arclength samples, solution counts from sign-change
-cells of a dense residual grid.
+cells of a dense residual grid, Laurent series from one complex power per
+term, level-length derivatives from 5-point stencils.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.linalg import eigh
 from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
+from catslab.weierstrass import flux
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,3 +271,74 @@ def jacobi_shooting_mu1(a: float, b: float, mesh: int) -> float:
         if mu0 == mu1:
             break
     return mu1
+
+
+def laurent_direct(coeffs: dict, z):
+    """Sum of c_p z^p with one complex ``z**p`` per term."""
+    z = np.asarray(z, dtype=complex)
+    return sum((c * z**p for p, c in coeffs.items()), np.zeros_like(z))
+
+
+def circle_lengths_direct(data, ts, n: int = 512):
+    """Lengths of the images of |z| = e^t, 1/2 Int (|z g h| + |z h/g|) dtheta,
+    on z = exp(t + i theta) with directly evaluated g and h."""
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    z = np.exp(np.asarray(ts, dtype=float)[:, None] + 1j * theta[None, :])
+    g, h = laurent_direct(data.g_coeffs, z), laurent_direct(data.h_coeffs, z)
+    return (0.5 * (np.abs(z * g * h) + np.abs(z * h / g))).mean(axis=1) * TWO_PI
+
+
+def level_length_stencil(data, ts, n: int = 512, step: float = 1e-3):
+    """L'(t) and L''(t) at each t by the 5-point central stencil of
+    ``circle_lengths_direct`` (both fourth order in ``step``)."""
+    ts = np.asarray(ts, dtype=float)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
+    lengths = circle_lengths_direct(data, (ts[:, None] + offsets).ravel(), n)
+    f0, f1, f2, f3, f4 = lengths.reshape(-1, 5).T
+    d1 = (f0 - 8 * f1 + 8 * f3 - f4) / (12 * step)
+    d2 = (-f0 + 16 * f1 - 30 * f2 + 16 * f3 - f4) / (12 * step**2)
+    return d1, d2
+
+
+def neck_by_minimization(data, ta: float, tb: float, n: int = 512) -> float:
+    """Log-radius in [ta, tb] of the shortest circle image: bounded scalar
+    minimization of ``circle_lengths_direct``, a guard for a smaller value at
+    either end, then Newton polish on the stencil L' = 0 away from the ends."""
+    from scipy.optimize import minimize_scalar
+
+    def length_at(t):
+        return float(circle_lengths_direct(data, [t], n)[0])
+
+    res = minimize_scalar(length_at, bounds=(ta, tb), method="bounded", options={"xatol": 1e-10})
+    t0 = float(np.clip(res.x, ta, tb))
+    for t_end in (ta, tb):
+        if length_at(t_end) < length_at(t0):
+            t0 = t_end
+    step = 1e-3
+    if ta + 2 * step < t0 < tb - 2 * step:
+        for _ in range(8):
+            d1, d2 = (float(v[0]) for v in level_length_stencil(data, [t0], n, step))
+            if not d2 > 0.0:
+                break
+            t0 = float(np.clip(t0 - d1 / d2, ta, tb))
+            if abs(d1 / d2) < 1e-13:
+                break
+    return t0
+
+
+def required_rotation(data, *, rtol: float = 1e-10):
+    """Axis-angle rotation that would make the flux vertical (angle 0 if it is)."""
+    fl = flux(data)
+    horizontal = math.hypot(fl[0], fl[1])
+    norm = float(np.linalg.norm(fl))
+    if horizontal <= rtol * norm:
+        return np.array([0.0, 0.0, 1.0]), 0.0
+    axis = np.cross(fl, [0.0, 0.0, 1.0])
+    return axis / np.linalg.norm(axis), math.atan2(horizontal, fl[2])
+
+
+def measured_modulus(annulus) -> float:
+    """Conformal circumference scale measured from the immersion itself: the
+    rate of the angular mean of x3 against log-radius (equals F3/2pi)."""
+    mean_height = annulus.grid[..., 2].mean(axis=1)
+    return float(np.polyfit(annulus.log_radii, mean_height, 1)[0])

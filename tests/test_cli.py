@@ -138,14 +138,15 @@ class TestThresholdCommand:
         assert code == 3 and out == ""
         assert "finite" in err
 
-    def test_overflowing_residual_exits_4(self, tmp_path, capsys):
-        # a finite pair whose solutions' upper circles overflow a double
+    def test_huge_upper_length_reports_two_solutions(self, tmp_path, capsys):
+        # a finite pair whose solutions' upper circles are near the double's limit
         spec = tmp_path / "q.json"
         spec.write_text(json.dumps({"lower_length": 1.0, "upper_length": 1e308}))
-        code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
-        assert code == 4 and out == ""
-        dump = strict_json(err)
-        assert dump["residuals"]["residuals"]["max_solution_rel"] == "inf"
+        code, out, _ = run_cli(["threshold", "--input", str(spec)], capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["count"] == 2
+        assert 0.0 <= doc["residuals"]["max_solution_rel"] <= 1e-9
 
 
 class TestAnnulusCommand:
@@ -168,8 +169,10 @@ class TestAnnulusCommand:
         lines = out.splitlines()
         assert lines[0] == "t,height,length,second_derivative"
         assert len(lines) == 10
-        row = lines[5].split(",")
-        assert float(row[2]) == pytest.approx(2 * math.pi * math.cosh(float(row[0])), rel=1e-9)
+        for line in lines[1:]:  # catenoid: L'' = L = 2 pi cosh t, edge levels included
+            t, _, length, second = (float(v) for v in line.split(","))
+            assert length == pytest.approx(2 * math.pi * math.cosh(t), rel=1e-9)
+            assert second == pytest.approx(length, rel=1e-12)
 
     def test_random_trials_seeded(self, capsys):
         code, out1, _ = run_cli(["annulus", "--grid", "trials=2", "--seed", "5"], capsys)

@@ -2,7 +2,7 @@
 
 Only the Jacobi solve (``ms``, ``threshold --sweep``) and the oval solve import
 ``scipy.linalg``, at their first call, so every other command starts without
-it.  The pytest process has scipy loaded already, so each check runs in a fresh
+it, and the Weierstrass area comparison finds its neck without scipy.  The pytest process has scipy loaded already, so each check runs in a fresh
 interpreter.
 """
 
@@ -39,6 +39,30 @@ _INPUTS = {
 }
 
 
+_AREA_CHILD = """
+import json, math, sys
+import numpy as np
+from catslab import weierstrass as wz
+from catslab.geometry import Slab
+rng = np.random.default_rng(3)
+for data in (wz.catenoid_data(1.0, 1 / math.e, math.e), wz.vertical_annulus_data(rng)):
+    wz.area_comparison(data, Slab(-0.8, 0.8))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _child_scipy_modules(code: str, argv: list) -> list[str]:
+    """Names of the scipy modules a fresh interpreter has loaded after ``code``."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def _scipy_modules(args, tmp_path) -> list[str]:
     """Names of the scipy modules loaded after ``catslab.cli.main(args)``;
     ``@name`` in args stands for a file holding ``_INPUTS[name]``."""
@@ -49,14 +73,7 @@ def _scipy_modules(args, tmp_path) -> list[str]:
             path.write_text(json.dumps(_INPUTS[arg[1:]]))
             arg = str(path)
         argv.append(arg)
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True, text=True, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return _child_scipy_modules(_CHILD, argv)
 
 
 @pytest.mark.parametrize(
@@ -86,3 +103,7 @@ def test_command_never_loads_scipy(args, tmp_path):
 )
 def test_solver_loads_scipy_linalg(args, tmp_path):
     assert "scipy.linalg" in _scipy_modules(args, tmp_path)
+
+
+def test_area_comparison_never_loads_scipy():
+    assert _child_scipy_modules(_AREA_CHILD, []) == []

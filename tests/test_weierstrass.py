@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as orc
 from catslab import weierstrass as wz
 from catslab.errors import DataInvalidError, ResolutionError
 from catslab.geometry import Slab
@@ -45,8 +46,17 @@ class TestValidation:
 
     def test_imaginary_residue_rejected(self):
         data = wz.WeierstrassData({1: 1.0}, {-1: 1.0 + 0.1j}, 1 / E, E)
-        with pytest.raises(DataInvalidError):
-            wz.validate(data)
+        for _ in range(2):  # a failure is not remembered as a pass
+            with pytest.raises(DataInvalidError):
+                wz.validate(data)
+
+    def test_result_kept_on_the_data(self, rng):
+        data = wz.random_annulus_data(rng)
+        first = wz.validate(data)
+        assert wz.validate(data) is first
+        assert wz.validate(data, period_rtol=1e-9) is not first
+        assert not first.flux_vector.flags.writeable
+        assert wz.validate(data.scaled(2.0)).f3 == pytest.approx(2 * first.f3, rel=1e-12)
 
     def test_planar_rejected(self):
         # no residue means no vertical flux; such data cannot span
@@ -125,10 +135,10 @@ class TestFlux:
             assert np.abs(vec[:2]).max() <= 1e-10
 
     def test_required_rotation(self, cat_data):
-        axis, angle = wz.required_rotation(cat_data)
+        axis, angle = orc.required_rotation(cat_data)
         assert angle == 0.0
         tilted = wz.WeierstrassData({1: 1.0}, {-1: 1.0, -2: 0.3}, 1 / E, E)
-        axis, angle = wz.required_rotation(tilted)
+        axis, angle = orc.required_rotation(tilted)
         assert angle > 1e-3
         assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
 
@@ -176,12 +186,12 @@ class TestImmersion:
         assert np.abs(lap).max() <= 1e-5 * size**2
 
     def test_modulus_identity(self, cat_annulus, rng):
-        assert wz.measured_modulus(cat_annulus) == pytest.approx(
+        assert orc.measured_modulus(cat_annulus) == pytest.approx(
             cat_annulus.flux_vertical / TWO_PI, rel=1e-8
         )
         data = wz.random_annulus_data(rng)
         ann = wz.immerse(data, (48, 256))
-        assert wz.measured_modulus(ann) == pytest.approx(
+        assert orc.measured_modulus(ann) == pytest.approx(
             ann.flux_vertical / TWO_PI, rel=1e-8
         )
 
@@ -416,3 +426,68 @@ class TestGenerators:
             assert wz.is_vertical_gauge(data)
             val = wz.validate(data)
             assert max(val.period_residuals.values()) <= 1e-10 * val.f3
+
+
+@pytest.fixture(scope="module")
+def seeded_trials():
+    rng = np.random.default_rng(2006)
+    return [wz.random_annulus_data(rng) for _ in range(100)]
+
+
+class TestSeparableEvaluation:
+    def test_circle_tables_match_direct_powers(self, seeded_trials):
+        ts = np.linspace(-1.0, 1.0, 9)
+        theta = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+        z = np.exp(ts[:, None] + 1j * theta[None, :])
+        for data in seeded_trials:
+            tables = [data.g_coeffs, data.h_coeffs]
+            tables += [wz._z_derivative(c) for c in tables]
+            for coeffs, values in zip(tables, wz._on_circles(tables, ts, theta.size)):
+                ref = orc.laurent_direct(coeffs, z)
+                assert np.abs(values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_power_ladder_matches_direct_powers(self, seeded_trials):
+        rng = np.random.default_rng(2007)
+        for data in seeded_trials:
+            z = np.exp(rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(0.0, TWO_PI, 64))
+            for coeffs, values in ((data.g_coeffs, wz.eval_g(data, z)),
+                                   (data.h_coeffs, wz.eval_h(data, z))):
+                ref = orc.laurent_direct(coeffs, z)
+                assert np.abs(values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestExactLevelDerivatives:
+    def test_second_derivative_matches_stencil(self, seeded_trials):
+        for data in seeded_trials:
+            prof = wz.level_profile(data, 17)
+            # the stencil's 2e-3 half-width fits inside the annulus off the edges
+            _, d2 = orc.level_length_stencil(data, prof.log_radii[1:-1])
+            error = np.abs(prof.second_derivative[1:-1] - d2).max()
+            assert error <= 1e-8 * prof.lengths.max()
+
+    def test_first_derivative_matches_central_difference(self, seeded_trials):
+        ts = np.linspace(-0.9, 0.9, 13)
+        for data in seeded_trials:
+            _, _, lengths, first, _ = wz._level_lengths(data, ts, 512)
+            d1, _ = orc.level_length_stencil(data, ts)
+            assert np.abs(first - d1).max() <= 1e-9 * lengths.max()
+
+    def test_strong_convexity_with_margin(self, seeded_trials):
+        for data in seeded_trials:
+            assert wz.convexity_check(wz.level_profile(data, 17)).min_slack > 0.0
+
+    def test_edge_levels_have_second_derivative(self, cat_data):
+        prof = wz.level_profile(cat_data, 9)
+        assert np.isfinite(prof.second_derivative).all()
+        # catenoid: L'' = L = 2 pi cosh t at every level
+        assert np.abs(prof.second_derivative - prof.lengths).max() <= 1e-12 * prof.lengths.max()
+
+    def test_neck_matches_minimization_oracle(self, cat_data, rng):
+        cases = [(cat_data, Slab(h_minus, h_plus))
+                 for h_minus, h_plus in ((-0.8, 0.8), (0.2, 0.8), (-0.8, -0.3))]
+        cases += [(wz.vertical_annulus_data(rng), Slab(-0.8, 0.7)) for _ in range(8)]
+        for data, slab in cases:
+            mu = wz.validate(data).mu
+            t0 = orc.neck_by_minimization(data, slab.h_minus / mu, slab.h_plus / mu)
+            report = wz.area_comparison(data, slab)
+            assert report.neck_height == pytest.approx(mu * t0, abs=1e-8)
