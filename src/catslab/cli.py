@@ -29,27 +29,33 @@ import numpy as np
 from . import geometry, ovals, stability, thresholds, weierstrass
 from .errors import ConvergenceError, DataInvalidError
 
-_COMMANDS = ("catenoid", "lambda0", "ms", "threshold", "annulus", "oval")
-
-# permitted --tol keys per command
-_TOL_KEYS = {
-    "catenoid": {"area_rtol"},
-    "lambda0": set(),
-    "ms": set(),
-    "threshold": {"tangential_rtol"},
-    "annulus": {"quadrature_rtol", "period_rtol"},
-    "oval": {"rtol"},
+# --tol and --grid keys per command, each (default, minimum, maximum).  A
+# tolerance may be any positive finite float.  At the grid maxima the largest
+# run peaks near 400 MiB (annulus levels x n_theta, catenoid n_height x n_theta).
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
+_KNOBS = {
+    "catenoid": {
+        "tol": {"area_rtol": (1e-8, *_POSITIVE)},
+        "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)},
+    },
+    "lambda0": {"tol": {}, "grid": {}},
+    "ms": {"tol": {}, "grid": {"mesh": (4096, 16, 1 << 20)}},
+    "threshold": {
+        "tol": {"tangential_rtol": (1e-6, *_POSITIVE)},
+        "grid": {"mesh": (1024, 16, 1 << 20)},
+    },
+    "annulus": {
+        "tol": {"quadrature_rtol": (1e-8, *_POSITIVE), "period_rtol": (1e-8, *_POSITIVE)},
+        # trials has no default: giving it selects the random-trials mode
+        "grid": {
+            "levels": (33, 5, 513),
+            "n_theta": (512, 8, 2048),
+            "trials": (None, 1, 10_000),
+        },
+    },
+    "oval": {"tol": {"rtol": (1e-8, *_POSITIVE)}, "grid": {"n": (256, 64, 1 << 16)}},
 }
-# (minimum, maximum) per --grid key; at the maxima the largest run peaks near
-# 400 MiB (annulus levels x n_theta, catenoid n_height x n_theta)
-_GRID_BOUNDS = {
-    "catenoid": {"n_height": (2, 512), "n_theta": (4, 4096)},
-    "lambda0": {},
-    "ms": {"mesh": (16, 1 << 20)},
-    "threshold": {"mesh": (16, 1 << 20)},
-    "annulus": {"levels": (5, 513), "n_theta": (8, 2048), "trials": (1, 10_000)},
-    "oval": {"n": (64, 1 << 16)},
-}
+_COMMANDS = tuple(_KNOBS)
 _SWEEP_MAX_ROWS = 100_000
 
 
@@ -71,18 +77,19 @@ class RunConfig:
             raise ValueError(f"format must be json or csv, got {self.format!r}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        for key, value in self.tolerances.items():
-            if key not in _TOL_KEYS[self.command]:
-                raise ValueError(f"unknown tolerance key {key!r} for {self.command}")
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"tolerance {key} must be positive, got {value}")
-        for key, value in self.grid.items():
-            bounds = _GRID_BOUNDS[self.command]
-            if key not in bounds:
-                raise ValueError(f"unknown grid key {key!r} for {self.command}")
-            lo, hi = bounds[key]
-            if not lo <= value <= hi:
-                raise ValueError(f"grid {key} must be in [{lo}, {hi}], got {value}")
+        for kind, given in (("tol", self.tolerances), ("grid", self.grid)):
+            table = _KNOBS[self.command][kind]
+            for key, value in given.items():
+                if key not in table:
+                    raise ValueError(f"unknown {kind} key {key!r} for {self.command}")
+                _, lo, hi = table[key]
+                if not lo <= value <= hi:
+                    raise ValueError(f"{kind} {key} must be in [{lo}, {hi}], got {value}")
+
+    def knob(self, kind: str, key: str):
+        """The --tol or --grid value of ``key``, or its default."""
+        given = self.tolerances if kind == "tol" else self.grid
+        return given.get(key, _KNOBS[self.command][kind][key][0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +240,9 @@ def _run_catenoid(config: RunConfig):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad catenoid input: {exc}") from exc
-    area_rtol = config.tolerances.get("area_rtol", 1e-8)
-    n_height = config.grid.get("n_height", 64)
-    n_theta = config.grid.get("n_theta", 256)
+    area_rtol = config.knob("tol", "area_rtol")
+    n_height = config.knob("grid", "n_height")
+    n_theta = config.knob("grid", "n_theta")
     area = geometry.area_in_slab(piece)
     if not math.isfinite(area):  # cosh((h - offset) / scale) overflows on the slab
         raise ConvergenceError(
@@ -272,7 +279,7 @@ def _run_ms(config: RunConfig):
         apex = float(doc["apex_height"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad ms input: {exc}") from exc
-    mesh = config.grid.get("mesh", 4096)
+    mesh = config.knob("grid", "mesh")
     ct = stability.tangent_cone_heights(apex)
     piece = stability.cat_ms(apex)
     spectrum = stability.lowest_jacobi_eigenvalue(piece, mesh=mesh)
@@ -296,8 +303,8 @@ def _run_ms(config: RunConfig):
 
 
 def _run_threshold(config: RunConfig):
-    mesh = config.grid.get("mesh", 1024)
-    tangential_rtol = config.tolerances.get("tangential_rtol", 1e-6)
+    mesh = config.knob("grid", "mesh")
+    tangential_rtol = config.knob("tol", "tangential_rtol")
     if config.sweep is not None:
         doc = _load_input(config, required=False) or {}
         _require_keys(doc, {"slab"}, "threshold input")
@@ -358,10 +365,10 @@ def _run_threshold(config: RunConfig):
 
 
 def _run_annulus(config: RunConfig):
-    levels = config.grid.get("levels", 33)
-    n_theta = config.grid.get("n_theta", 512)
-    quadrature_rtol = config.tolerances.get("quadrature_rtol", 1e-8)
-    period_rtol = config.tolerances.get("period_rtol", 1e-8)
+    levels = config.knob("grid", "levels")
+    n_theta = config.knob("grid", "n_theta")
+    quadrature_rtol = config.knob("tol", "quadrature_rtol")
+    period_rtol = config.knob("tol", "period_rtol")
 
     if "trials" in config.grid:
         rng = np.random.default_rng(config.seed)
@@ -431,8 +438,8 @@ def _run_annulus(config: RunConfig):
 def _run_oval(config: RunConfig):
     doc = _load_input(config)
     _require_keys(doc, {"points", "ellipse", "circle", "n"}, "oval input")
-    n = doc.get("n", config.grid.get("n", 256))
-    n_max = _GRID_BOUNDS["oval"]["n"][1]
+    n = doc.get("n", config.knob("grid", "n"))
+    n_max = _KNOBS["oval"]["grid"]["n"][2]
     if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= n_max):
         raise DataInvalidError(f"'n' must be a whole number <= {n_max}, got {n!r}")
     n = int(n)
@@ -449,7 +456,7 @@ def _run_oval(config: RunConfig):
             raise DataInvalidError("oval input needs 'points', 'ellipse' or 'circle'")
     except (TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad curve input: {exc}") from exc
-    rtol = config.tolerances.get("rtol", 1e-8)
+    rtol = config.knob("tol", "rtol")
     spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
     payload = {
         "length": spectrum.length,

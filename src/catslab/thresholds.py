@@ -14,14 +14,18 @@ upper boundary length of that piece is the threshold function F: a pair
 (L_minus, L_plus) bounds a clipped vertical catenoid iff L_plus >= F(L_minus),
 and the total boundary length of the symmetric (z = 0) piece is the critical
 length below which no spanning pair exists.
+
+The pair's solutions follow from that piece too.  Fix L_minus and let t be
+the unit-catenoid height of the lower circle: then lam = L_minus/(2*pi*cosh t),
+c = h_minus - lam*t, and the log upper length of that catenoid is unimodal in
+t, with its only minimum, log F(L_minus), at the marginally stable piece.  So a
+pair has exactly 0, 1 (tangential) or 2 solutions, one on each side of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import CatenoidPiece, Slab, _cosh
@@ -55,13 +59,15 @@ def _ms_geometry(z: float, slab: Slab) -> tuple[float, float, ConeTangency]:
     return lam, c, ct
 
 
+def _log_cosh(x: float) -> float:
+    """log(cosh(x)) without overflow for large |x|."""
+    ax = abs(x)
+    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
+
+
 def _log_lower_length(z: float, slab: Slab) -> float:
-    ct = tangent_cone_heights(z)
-    lam = slab.height / (ct.t_plus - ct.t_minus)
-    t = ct.t_minus
-    # log(2*pi*lam*cosh(t)) without overflow for very negative t
-    log_cosh = abs(t) + math.log1p(math.exp(-2.0 * abs(t))) - math.log(2.0)
-    return math.log(TWO_PI * lam) + log_cosh
+    lam, _, ct = _ms_geometry(z, slab)
+    return math.log(TWO_PI * lam) + _log_cosh(ct.t_minus)
 
 
 def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
@@ -128,28 +134,22 @@ class SpanningResult:
         return len(self.pieces)
 
 
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
 def spanning_catenoids(
     lower_length: float,
     upper_length: float,
     slab: Slab,
     *,
     tangential_rtol: float = 1e-6,
-    dedup_tol: float = 1e-7,
-    scan_points: int = 4000,
 ) -> SpanningResult:
     """All clipped vertical catenoids whose boundary circles have the given lengths.
 
     Solves 2*pi*lam*cosh((h_minus - c)/lam) = L_minus together with the same
-    equation at h_plus for L_plus.  The lower equation is inverted per scale
-    (two sign branches for the neck position); the residual of the upper
-    equation is scanned in log form over scales and every sign change is
-    bisected.  Within ``tangential_rtol`` of the threshold the pair is flagged
-    ambiguous and the marginally stable solution is returned.
+    equation at h_plus for L_plus.  Above the threshold there is one solution
+    on each side of the marginally stable piece (see the module docstring):
+    each is one bracketed root in the lower circle's unit height t, bracketed
+    by doubling outward from the piece's t.  Within ``tangential_rtol`` of the
+    threshold the pair is flagged ambiguous and the marginally stable solution
+    is returned.
     """
     for length in (lower_length, upper_length):
         if not (math.isfinite(length) and length > 0.0):
@@ -165,52 +165,44 @@ def spanning_catenoids(
         return SpanningResult([], [], False, threshold)
 
     H = slab.height
-    lam_max = lower_length / TWO_PI
-    log_upper = math.log(upper_length)
+    log_lower, log_upper = math.log(lower_length), math.log(upper_length)
 
-    def residual_grid(lams: np.ndarray, branch: int) -> np.ndarray:
-        arg = np.maximum(lower_length / (TWO_PI * lams), 1.0)
-        a = branch * np.arccosh(arg)
-        b = a + H / lams
-        return np.log(TWO_PI * lams) + _log_cosh(b) - log_upper
+    def f(t: float) -> float:
+        # log(upper length / L_plus); past overflow 1/lam is inf and so is f
+        log_inv_lam = math.log(TWO_PI) + _log_cosh(t) - log_lower
+        inv_lam = math.exp(log_inv_lam) if log_inv_lam < 709.0 else math.inf
+        return log_lower - _log_cosh(t) + _log_cosh(t + H * inv_lam) - log_upper
 
-    def residual_one(lam: float, branch: int) -> float:
-        return float(residual_grid(np.asarray([lam]), branch)[0])
-
-    lams = np.geomspace(lam_max * 1e-6, lam_max, scan_points)
-    found: list[tuple[float, float]] = []
-    for branch in (-1, 1):
-        vals = residual_grid(lams, branch)
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        for i in sign_change:
-            lam = bracketed_root(
-                lambda x, br=branch: residual_one(x, br),
-                float(lams[i]),
-                float(lams[i + 1]),
-                bisect_width=1e-14 * lam_max,
-                residual_tol=1e-12,
+    t_fold = (slab.h_minus - ms.offset) / ms.scale
+    parameters: list[tuple[float, float]] = []
+    for side in (-1.0, 1.0):
+        # 1/lam has overflowed by d = 1024, so f(t_fold +- 1024) is +inf
+        d = 1.0
+        while not f(t_fold + side * d) > 0.0 and d < 1e3:
+            d *= 2.0
+        edge = t_fold + side * d
+        if not f(t_fold) < 0.0 < f(edge):  # NaN, or upper within round-off of F
+            raise ConvergenceError(
+                "failed to bracket a spanning solution",
+                {"upper_length": upper_length, "threshold_upper": threshold, "edge": edge},
             )
-            a = branch * math.acosh(max(lower_length / (TWO_PI * lam), 1.0))
-            c = slab.h_minus - lam * a
-            found.append((lam, c))
-
-    deduped: list[tuple[float, float]] = []
-    for lam, c in sorted(found):
-        if all(abs(lam - l2) + abs(c - c2) > dedup_tol for l2, c2 in deduped):
-            deduped.append((lam, c))
+        t = bracketed_root(f, min(t_fold, edge), max(t_fold, edge))
+        lam = lower_length / (TWO_PI * math.cosh(t))
+        parameters.append((lam, slab.h_minus - lam * t))
+    parameters.sort()
 
     def relative_residual(lam: float, c: float, height: float, length: float) -> float:
         # |2*pi*lam*cosh((height - c)/lam) / length - 1| in log form: thin
         # solutions have boundary circles whose length overflows a double
-        log_ratio = math.log(TWO_PI * lam) + float(_log_cosh((height - c) / lam)) - math.log(length)
+        log_ratio = math.log(TWO_PI * lam) + _log_cosh((height - c) / lam) - math.log(length)
         return abs(math.expm1(log_ratio))
 
-    pieces = [CatenoidPiece(lam, c, slab) for lam, c in deduped]
+    pieces = [CatenoidPiece(lam, c, slab) for lam, c in parameters]
     residuals = [
         max(
             relative_residual(lam, c, slab.h_minus, lower_length),
             relative_residual(lam, c, slab.h_plus, upper_length),
         )
-        for lam, c in deduped
+        for lam, c in parameters
     ]
-    return SpanningResult(pieces, deduped, False, threshold, residuals)
+    return SpanningResult(pieces, parameters, False, threshold, residuals)

@@ -100,7 +100,7 @@ def test_criterion_4_threshold_sharpness():
             F = th.f_omega(L_minus, CANON)
             if rng.uniform() < 0.5:
                 upper = F * float(rng.uniform(1.001, 1.25))
-                assert len(th.spanning_catenoids(L_minus, upper, CANON)) >= 1
+                assert len(th.spanning_catenoids(L_minus, upper, CANON)) == 2
             else:
                 upper = F * float(rng.uniform(0.75, 0.999))
                 assert len(th.spanning_catenoids(L_minus, upper, CANON)) == 0

@@ -288,6 +288,13 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "" and "bad configuration" in err
 
+    def test_knob_defaults_within_bounds(self):
+        for command, kinds in cli._KNOBS.items():
+            for table in kinds.values():
+                for key, (default, lo, hi) in table.items():
+                    if default is not None:  # annulus trials: giving it selects a mode
+                        assert lo <= default <= hi, (command, key)
+
     def test_negative_tolerance(self, capsys):
         code, _, _ = run_cli(["oval", "--tol", "rtol=-1"], capsys)
         assert code == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import _oracles as orc
 from catslab import geometry as geo
@@ -136,7 +137,7 @@ class TestSpanning:
             F = th.f_omega(L_minus, CANON)
             above = F * float(rng.uniform(1.001, 1.25))
             below = F * float(rng.uniform(0.75, 0.999))
-            assert len(th.spanning_catenoids(L_minus, above, CANON)) >= 1
+            assert len(th.spanning_catenoids(L_minus, above, CANON)) == 2
             assert len(th.spanning_catenoids(L_minus, below, CANON)) == 0
 
     def test_general_slab(self):
@@ -144,12 +145,51 @@ class TestSpanning:
         L = 9.0
         F = th.f_omega(L, slab)
         result = th.spanning_catenoids(L, 1.1 * F, slab)
-        assert len(result) >= 1
+        assert len(result) == 2
         for lam, c in result.parameters:
             low = 2 * math.pi * lam * math.cosh((slab.h_minus - c) / lam)
             high = 2 * math.pi * lam * math.cosh((slab.h_plus - c) / lam)
             assert low == pytest.approx(L, rel=1e-9)
             assert high == pytest.approx(1.1 * F, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1e-5, 1e-3, 2e-2])
+    @pytest.mark.parametrize("L", [0.05, 0.5, 1.0, 3.0])
+    def test_two_solutions_just_above_threshold(self, L, d):
+        ms = th.ms_piece_for_lower_length(L, CANON)
+        upper = ms.upper_length * (1.0 + d)
+        result = th.spanning_catenoids(L, upper, CANON)
+        assert len(result) == 2 and not result.tangential
+        t_fold = (CANON.h_minus - ms.offset) / ms.scale
+        heights = []
+        for lam, c in result.parameters:
+            low = 2 * math.pi * lam * math.cosh((CANON.h_minus - c) / lam)
+            high = 2 * math.pi * lam * math.cosh((CANON.h_plus - c) / lam)
+            assert low == pytest.approx(L, rel=1e-9)
+            assert high == pytest.approx(upper, rel=1e-9)
+            heights.append((CANON.h_minus - c) / lam)
+        # one solution on each side of the marginally stable piece
+        assert min(heights) < t_fold < max(heights)
+
+    @pytest.mark.parametrize("L", [0.05, 0.5, 1.0, 3.0, 30.0])
+    def test_upper_length_unimodal_in_lower_height(self, L):
+        # premise of the solver: with t the unit height of the lower circle,
+        # log upper length(t) = log L - log cosh t + log cosh(t + H/lam),
+        # lam = L / (2 pi cosh t), has one critical point, at the marginal piece
+        H = CANON.height
+
+        def dlog_upper(t):
+            s = t + 2 * np.pi * H * np.cosh(t) / L
+            return -np.tanh(t) + np.tanh(s) * (1 + 2 * np.pi * H * np.sinh(t) / L)
+
+        ms = th.ms_piece_for_lower_length(L, CANON)
+        t_fold = (CANON.h_minus - ms.offset) / ms.scale
+        ts = np.linspace(t_fold - 10.0, t_fold + 10.0, 200001)
+        slope = dlog_upper(ts)
+        cells = np.nonzero(np.diff(np.sign(slope)) != 0)[0]
+        assert cells.size == 1 and slope[0] < 0 < slope[-1]
+        lo, hi = ts[cells[0]], ts[cells[0] + 1]
+        t_min = brentq(dlog_upper, lo, hi, xtol=1e-15)
+        assert abs(t_min - t_fold) <= 1e-10
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
