@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 bad configuration (flags, tolerance/grid keys and
 their bounds), 3 bad input data (missing/unparsable/invalid files, non-finite
-numbers), 4 numerical non-convergence or a non-finite result (a residual dump
-goes to stderr).  Stdout and the dump are strict JSON: no NaN or Infinity.
+numbers), 4 numerical non-convergence, a failed linear-algebra routine or a
+non-finite result (a residual dump goes to stderr), 5 out of memory.  Stdout
+and the stderr dumps are strict JSON: no NaN or Infinity.
 
 Numbers are emitted with 15 significant digits; output for a fixed
 configuration and seed is byte-identical.  JSON is the canonical format and
@@ -544,13 +545,17 @@ def run(config: RunConfig) -> int:
     try:
         payload, rows = _HANDLERS[config.command](config)
         text = _render(payload, rows, config.format)
-    except ConvergenceError as exc:
-        dump = {"error": str(exc), "residuals": _strict(_round15(exc.residuals))}
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        residuals = _strict(_round15(getattr(exc, "residuals", {})))
+        dump = {"error": str(exc), "residuals": residuals}
         print(json.dumps(dump, sort_keys=True, allow_nan=False), file=sys.stderr)
         return 4
     except (DataInvalidError, ValueError) as exc:
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(json.dumps({"error": f"out of memory: {exc}"}), file=sys.stderr)
+        return 5
 
     out_path = config.output_path
     if out_path is None:

@@ -51,9 +51,7 @@ def _tangency_positive(z: float) -> float:
         return t - 1.0 / math.tanh(t) - z
 
     def gp(t: float) -> float:
-        if abs(t) > 20.0:  # 1/sinh^2 underflows (and would overflow sinh for huge t)
-            return 1.0
-        return 1.0 + 1.0 / math.sinh(t) ** 2
+        return 1.0 / math.tanh(t) / math.tanh(t)  # 1 + csch^2 t; inf, not an error, near 0
 
     hi = max(2.0, z + 2.0)
     lo = 1.0

@@ -9,8 +9,9 @@ apex height z.  That reduces the two-unknown system to one monotone unknown:
     c(z)   = h_minus - lam(z) * t_minus(z),
 
 and the lower boundary length  l(z) = 2*pi*lam(z)*cosh(t_minus(z))  decreases
-strictly from +inf to 0, so inverting it is a bracketed 1-D root find.  The
-upper boundary length of that piece is the threshold function F: a pair
+strictly from +inf to 0, so inverting it is a bracketed 1-D root find (done
+in t_minus, since z = t_minus - coth(t_minus) is explicit).  The upper
+boundary length of that piece is the threshold function F: a pair
 (L_minus, L_plus) bounds a clipped vertical catenoid iff L_plus >= F(L_minus),
 and the total boundary length of the symmetric (z = 0) piece is the critical
 length below which no spanning pair exists.
@@ -24,6 +25,7 @@ pair has exactly 0, 1 (tangential) or 2 solutions, one on each side of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +33,7 @@ from .errors import ConvergenceError
 from .geometry import CatenoidPiece, Slab, _cosh
 from .rootfind import bracketed_root
 from .spectral import TWO_PI
-from .stability import ConeTangency, cat_ms, tangent_cone_heights
+from .stability import _tangency_positive, cat_ms, tangent_cone_heights
 
 
 @dataclass(frozen=True)
@@ -44,19 +46,9 @@ class MsSolution:
     upper_length: float
     apex_height: float
 
-    def piece(self, slab: Slab) -> CatenoidPiece:
-        return CatenoidPiece(self.scale, self.offset, slab)
-
     def unit_piece(self) -> CatenoidPiece:
         """Unit-scale reduction (the clipped interval in catenoid coordinates)."""
         return cat_ms(self.apex_height)
-
-
-def _ms_geometry(z: float, slab: Slab) -> tuple[float, float, ConeTangency]:
-    ct = tangent_cone_heights(z)
-    lam = slab.height / (ct.t_plus - ct.t_minus)
-    c = slab.h_minus - lam * ct.t_minus
-    return lam, c, ct
 
 
 def _log_cosh(x: float) -> float:
@@ -65,40 +57,51 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def _log_lower_length(z: float, slab: Slab) -> float:
-    lam, _, ct = _ms_geometry(z, slab)
-    return math.log(TWO_PI * lam) + _log_cosh(ct.t_minus)
-
-
 def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
     """The marginally stable clipped catenoid whose lower boundary circle has the
-    given length (unique up to horizontal translation, which is quotiented out)."""
+    given length (unique up to horizontal translation, which is quotiented out).
+
+    Solved by safeguarded Newton in the lower tangency height t_minus, not the
+    apex height: z = t_minus - coth(t_minus) is explicit, so each evaluation
+    needs one tangency root t_plus, and the derivative of log l is exact:
+    tanh(t_minus) - (t_plus' - 1)/(t_plus - t_minus), where t_plus' =
+    (1 + csch^2 t_minus)/(1 + csch^2 t_plus) = (tanh(t_plus)/tanh(t_minus))^2.
+    """
     if not (math.isfinite(lower_length) and lower_length > 0.0):
         raise ValueError(f"lower_length must be positive, got {lower_length}")
-    target = math.log(lower_length)
 
-    def f(z: float) -> float:
-        return _log_lower_length(z, slab) - target
+    @functools.lru_cache(maxsize=None)  # f and fprime both need it at each point
+    def t_plus(t_minus: float) -> float:
+        return _tangency_positive(t_minus - 1.0 / math.tanh(t_minus))
 
-    z_lo, z_hi = -1.0, 1.0
-    for _ in range(200):
-        if f(z_lo) > 0.0:
-            break
-        z_lo = 2.0 * z_lo - 1.0
-    for _ in range(200):
-        if f(z_hi) < 0.0:
-            break
-        z_hi = 2.0 * z_hi + 1.0
-    if not (f(z_lo) > 0.0 > f(z_hi)):
+    def f(t_minus: float) -> float:
+        # log(l/L), strictly decreasing on t_minus < 0: one log of a ratio near
+        # 1 at the root; cosh overflows only where l exceeds every double
+        lam = slab.height / (t_plus(t_minus) - t_minus)
+        return math.log(TWO_PI * lam * _cosh(t_minus) / lower_length)
+
+    def fprime(t_minus: float) -> float:
+        tp = t_plus(t_minus)
+        dtp = (math.tanh(tp) / math.tanh(t_minus)) ** 2
+        return math.tanh(t_minus) - (dtp - 1.0) / (tp - t_minus)
+
+    t_lo, t_hi = -2.0, -0.5
+    while not f(t_lo) > 0.0 and t_lo > -1e3:  # l overflows near t_minus = -710
+        t_lo *= 2.0
+    while not f(t_hi) < 0.0 and t_hi < -1e-60:
+        t_hi *= 0.5
+    if not (f(t_lo) > 0.0 > f(t_hi)):
         raise ConvergenceError(
-            "failed to bracket apex height",
-            {"lower_length": lower_length, "z_range": (z_lo, z_hi)},
+            "failed to bracket the lower tangency height",
+            {"lower_length": lower_length, "t_minus_range": (t_lo, t_hi)},
         )
-    # f is strictly decreasing; bracketed_root expects it either way
-    z = bracketed_root(f, z_lo, z_hi, residual_tol=1e-13)
-    lam, c, ct = _ms_geometry(z, slab)
-    lower = TWO_PI * lam * _cosh(ct.t_minus)
-    upper = TWO_PI * lam * _cosh(ct.t_plus)
+    t_minus = bracketed_root(f, t_lo, t_hi, fprime, residual_tol=1e-13)
+    z = t_minus - 1.0 / math.tanh(t_minus)
+    tp = t_plus(t_minus)
+    lam = slab.height / (tp - t_minus)
+    c = slab.h_minus - lam * t_minus
+    lower = TWO_PI * lam * _cosh(t_minus)
+    upper = TWO_PI * lam * _cosh(tp)
     rel = abs(lower - lower_length) / lower_length
     if rel > 1e-10:
         raise ConvergenceError(
@@ -116,7 +119,8 @@ def f_omega(lower_length: float, slab: Slab) -> float:
 
 def l_crit(slab: Slab) -> float:
     """Total boundary length of the maximally symmetric marginally stable piece."""
-    lam, _, ct = _ms_geometry(0.0, slab)
+    ct = tangent_cone_heights(0.0)
+    lam = slab.height / (ct.t_plus - ct.t_minus)
     return TWO_PI * lam * (_cosh(ct.t_minus) + _cosh(ct.t_plus))
 
 
@@ -158,20 +162,17 @@ def spanning_catenoids(
     threshold = ms.upper_length
     if abs(upper_length - threshold) <= tangential_rtol * threshold:
         piece = CatenoidPiece(ms.scale, ms.offset, slab)
-        return SpanningResult(
-            [piece], [(ms.scale, ms.offset)], True, threshold, [0.0]
-        )
+        return SpanningResult([piece], [(ms.scale, ms.offset)], True, threshold, [0.0])
     if upper_length < threshold:
         return SpanningResult([], [], False, threshold)
 
-    H = slab.height
     log_lower, log_upper = math.log(lower_length), math.log(upper_length)
 
     def f(t: float) -> float:
         # log(upper length / L_plus); past overflow 1/lam is inf and so is f
         log_inv_lam = math.log(TWO_PI) + _log_cosh(t) - log_lower
         inv_lam = math.exp(log_inv_lam) if log_inv_lam < 709.0 else math.inf
-        return log_lower - _log_cosh(t) + _log_cosh(t + H * inv_lam) - log_upper
+        return log_lower - _log_cosh(t) + _log_cosh(t + slab.height * inv_lam) - log_upper
 
     t_fold = (slab.h_minus - ms.offset) / ms.scale
     parameters: list[tuple[float, float]] = []
@@ -199,10 +200,8 @@ def spanning_catenoids(
 
     pieces = [CatenoidPiece(lam, c, slab) for lam, c in parameters]
     residuals = [
-        max(
-            relative_residual(lam, c, slab.h_minus, lower_length),
-            relative_residual(lam, c, slab.h_plus, upper_length),
-        )
+        max(relative_residual(lam, c, slab.h_minus, lower_length),
+            relative_residual(lam, c, slab.h_plus, upper_length))
         for lam, c in parameters
     ]
     return SpanningResult(pieces, parameters, False, threshold, residuals)

@@ -37,6 +37,7 @@ level-set length along the level curves.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -826,12 +827,13 @@ def area_comparison(
         t0 = tb
     else:
         j = int(np.argmax(slope > 0.0))
-        t0 = bracketed_root(
-            lambda t: float(_level_lengths(data, t, n_theta)[3][0]),
-            float(levels[j - 1]),
-            float(levels[j]),
-            lambda t: float(_level_lengths(data, t, n_theta)[4][0]),
-            bisect_width=float(levels[j] - levels[j - 1]),  # Newton from the bracketing cell
+        # solved for u = t - ta: necks sit near t = 0, where a relative stopping test fails
+        at = functools.lru_cache(maxsize=None)(lambda u: _level_lengths(data, ta + u, n_theta))
+        t0 = ta + bracketed_root(
+            lambda u: float(at(u)[3][0]),
+            float(levels[j - 1] - ta),
+            float(levels[j] - ta),
+            lambda u: float(at(u)[4][0]),  # L'' from the grid that gave L'
             residual_tol=1e-12 * float(L_sigma.max()),
         )
     h0 = mu * t0

@@ -343,6 +343,33 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert strict_json(err)["residuals"] == {"residual": "inf", "trace": [1.0, "-inf"]}
 
+    @pytest.mark.parametrize("apex", [-1e200, 1e200])
+    def test_extreme_apex_exits_4(self, tmp_path, capsys, apex):
+        # a tangency height near 1e-200 squares to 0 in the Newton derivative
+        path = tmp_path / "apex.json"
+        path.write_text(json.dumps({"apex_height": apex}))
+        code, out, err = run_cli(["ms", "--input", str(path)], capsys)
+        assert code == 4 and out == ""
+        assert "error" in strict_json(err)
+
+    def test_linalg_error_exits_4(self, capsys, monkeypatch):
+        def fail(config):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        code, out, err = run_cli(["lambda0"], capsys)
+        assert code == 4 and out == ""
+        assert strict_json(err) == {"error": "eigenvalues did not converge", "residuals": {}}
+
+    def test_memory_error_exits_5(self, capsys, monkeypatch):
+        def fail(config):
+            raise MemoryError("grid of 1e12 points")
+
+        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        code, out, err = run_cli(["lambda0"], capsys)
+        assert code == 5 and out == ""
+        assert strict_json(err) == {"error": "out of memory: grid of 1e12 points"}
+
     def test_nonconvergence_dumps_residuals(self, tmp_path, capsys):
         data = wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)
         path = tmp_path / "wiggly.json"

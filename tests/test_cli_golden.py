@@ -94,6 +94,17 @@ def test_stdout_matches_golden(name, tmp_path, monkeypatch):
     assert _stdout(name, tmp_path) == _golden_path(name).read_text()
 
 
+def test_in_process_blas_runs_one_thread(tmp_path):
+    # conftest.py pins one BLAS thread before numpy loads; with two threads,
+    # lambda1 of the 2:1 ellipse ends in ...227 instead of ...226
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps(CASES["oval_ellipse"][1]))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["oval", "--input", str(path)]) == 0
+    assert json.loads(buf.getvalue())["lambda1"] == 0.421241717761226
+
+
 if __name__ == "__main__":
     import os
     import tempfile

@@ -209,3 +209,82 @@ def test_threshold_asymptotics_measured_only():
     print(f"F near zero: {small}")
     print(f"F at large lengths: {large}")
     assert all(np.isfinite(small)) and all(np.isfinite(large))
+
+
+class TestFortyDigitReference:
+    """Tangency heights and marginally stable pieces against 40-digit mpmath
+    roots of the same equations.  Each reference is a Newton iteration in
+    40-digit arithmetic from the double result, run until its residual is
+    below 1e-35, so it is the exact root, not a re-run of the package's
+    iteration."""
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.mp.workdps(40):
+            yield mpmath
+
+    @staticmethod
+    def _newton(f, df, x):
+        for _ in range(8):
+            x = x - f(x) / df(x)
+        assert abs(f(x)) < 1e-35
+        return x
+
+    @classmethod
+    def _t_plus(cls, mp, z, guess):
+        # root of t - coth(t) = z on t > 0; d/dt = coth(t)^2
+        return cls._newton(lambda t: t - mp.coth(t) - z, lambda t: mp.coth(t) ** 2, mp.mpf(guess))
+
+    @staticmethod
+    def _rel(value, ref):
+        return float(abs((value - ref) / ref))
+
+    def test_tangent_cone_heights(self, mp):
+        worst = 0.0
+        for z in np.linspace(-50.0, 50.0, 201):
+            ct = st_mod.tangent_cone_heights(float(z))
+            t_plus = self._t_plus(mp, mp.mpf(float(z)), ct.t_plus)
+            t_minus = -self._t_plus(mp, -mp.mpf(float(z)), -ct.t_minus)
+            worst = max(worst, self._rel(ct.t_plus, t_plus), self._rel(ct.t_minus, t_minus))
+        print(f"worst relative tangency error against 40 digits: {worst:.2g}")
+        # loose enough for a bare residual stop at 1e-13 max(1, |z|) (2.8e-14);
+        # an iteration run to round-off reaches 3e-16
+        assert worst <= 1e-13
+
+    def test_ms_piece_for_lower_length(self, mp):
+        H = mp.mpf(CANON.height)
+        worst = dict(scale=0.0, offset=0.0, apex=0.0, upper=0.0)
+        for L in np.geomspace(0.04, 1e4, 40):
+            ms = th.ms_piece_for_lower_length(float(L), CANON)
+            t_plus_guess = (CANON.h_plus - ms.offset) / ms.scale
+
+            def t_plus_of(t_minus):
+                return self._t_plus(mp, t_minus - mp.coth(t_minus), t_plus_guess)
+
+            def log_lower(t_minus):
+                lam = H / (t_plus_of(t_minus) - t_minus)
+                return mp.log(2 * mp.pi * lam * mp.cosh(t_minus)) - mp.log(mp.mpf(float(L)))
+
+            def d_log_lower(t_minus):
+                t_plus = t_plus_of(t_minus)
+                dt_plus = (mp.tanh(t_plus) / mp.tanh(t_minus)) ** 2
+                return mp.tanh(t_minus) - (dt_plus - 1) / (t_plus - t_minus)
+
+            t_minus = self._newton(
+                log_lower, d_log_lower, mp.mpf((CANON.h_minus - ms.offset) / ms.scale)
+            )
+            t_plus = t_plus_of(t_minus)
+            lam = H / (t_plus - t_minus)
+            ref = dict(
+                scale=lam,
+                offset=mp.mpf(CANON.h_minus) - lam * t_minus,
+                apex=t_minus - mp.coth(t_minus),
+                upper=2 * mp.pi * lam * mp.cosh(t_plus),
+            )
+            got = dict(scale=ms.scale, offset=ms.offset, apex=ms.apex_height, upper=ms.upper_length)
+            for key in worst:
+                worst[key] = max(worst[key], self._rel(got[key], ref[key]))
+        print(f"worst relative errors against 40 digits: {worst}")
+        assert max(worst["scale"], worst["offset"], worst["apex"]) <= 1e-14
+        assert worst["upper"] <= 1e-13
