@@ -24,7 +24,7 @@ from .geometry import (
     solve_lambda0,
     vertical_flux,
 )
-from .ovals import ClosedCurve, lowest_eigenvalue, rayleigh_quotient, resample_arclength
+from .ovals import ClosedCurve, lowest_eigenvalue, rayleigh_quotient
 from .stability import (
     ConeTangency,
     JacobiSpectrumResult,

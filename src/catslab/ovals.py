@@ -41,19 +41,6 @@ from .spectral import TWO_PI, cumulative_integral, fourier_derivative
 _log = logging.getLogger(__name__)
 
 
-def _trig_interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at u in [0, 1)."""
-    n = values.shape[0]
-    spec = np.fft.fft(values, axis=0) / n
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    weights = np.exp(2j * math.pi * np.outer(u, modes))
-    if n % 2 == 0:
-        # split the Nyquist mode so the interpolant stays real
-        weights[:, n // 2] = np.cos(math.pi * n * u)
-    out = weights @ spec.reshape(n, -1)
-    return out.real.reshape((len(u),) + values.shape[1:])
-
-
 class ClosedCurve:
     """Periodic point samples of a closed space curve, uniform in parameter.
 
@@ -158,45 +145,6 @@ class ClosedCurve:
                 a, b = rng.standard_normal(2) * decay
                 pts[:, d] += a * np.cos(k * u) + b * np.sin(k * u)
         return ClosedCurve(pts)
-
-
-def _arclength_of(curve: ClosedCurve, u: np.ndarray) -> np.ndarray:
-    """s(u) for arbitrary parameters, from the trig interpolant of the speed."""
-    n = len(curve)
-    a = np.fft.fft(curve.speed) / n
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    wraps = np.floor(u)
-    frac = u - wraps
-    phase = np.exp(2j * math.pi * np.outer(frac, m))
-    nz = m != 0
-    terms = (phase[:, nz] - 1.0) @ (a[nz] / (2j * math.pi * m[nz]))
-    return a[0].real * (frac + wraps) + terms.real
-
-
-def resample_arclength(curve: ClosedCurve, n: int | None = None) -> ClosedCurve:
-    """Resample to uniform arclength; total length preserved, idempotent.
-
-    The parameter-to-arclength map of the trigonometric interpolant is
-    inverted by a fine cumulative table plus Newton steps with the exact
-    interpolated speed, then positions are evaluated with the interpolant, so
-    the new samples lie exactly on the represented curve.
-    """
-    if n is None:
-        n = len(curve)
-    if n < 32:
-        raise ValueError("need at least 32 samples")
-    L = curve.total_length
-    targets = L * np.arange(n) / n
-
-    fine = 8 * max(len(curve), n)
-    u_fine = np.arange(fine + 1) / fine
-    s_fine = _arclength_of(curve, u_fine)
-    s_fine[-1] = L
-    u = np.interp(targets, s_fine, u_fine)
-    for _ in range(4):
-        speed = _trig_interpolate(curve.speed.reshape(-1, 1), u % 1.0).ravel()
-        u = u - (_arclength_of(curve, u) - targets) / np.maximum(speed, 1e-300)
-    return ClosedCurve(_trig_interpolate(curve.points, u % 1.0))
 
 
 def rayleigh_quotient(curve: ClosedCurve, f) -> float:

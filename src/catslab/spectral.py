@@ -4,8 +4,7 @@ Periodic samples sit on ``n`` uniform nodes of [0, period) with no duplicated
 endpoint.  On them the trapezoid rule is the plain mean times the period and
 is spectrally accurate for smooth integrands; derivatives and antiderivatives
 act on the trigonometric interpolant through the FFT.  Non-periodic
-directions use Gauss-Legendre rules mapped to [a, b], and finite differences
-use the fourth-order 5-point central stencil.
+directions use Gauss-Legendre rules mapped to [a, b].
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# offsets, in steps, of the 5-point central stencil
-FIVE_POINT = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-FIVE_POINT.flags.writeable = False
 
 
 def periodic_nodes(n: int, period: float = TWO_PI) -> np.ndarray:
@@ -90,11 +85,3 @@ def gauss_legendre(n: int, a: float, b: float):
     nodes, weights = _legendre(n)
     return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
-
-def five_point(samples, step: float):
-    """First and second derivatives at the centre of samples taken at
-    ``FIVE_POINT * step`` along the last axis (both fourth order)."""
-    f0, f1, f2, f3, f4 = np.moveaxis(np.asarray(samples), -1, 0)
-    d1 = (f0 - 8 * f1 + 8 * f3 - f4) / (12 * step)
-    d2 = (-f0 + 16 * f1 - 30 * f2 + 16 * f3 - f4) / (12 * step**2)
-    return d1, d2

@@ -57,8 +57,13 @@ def _tangency_positive(z: float) -> float:
     lo = 1.0
     while g(lo) >= 0.0:
         lo *= 0.5
-        if lo < 1e-300:
+        if lo == 0.0:
             raise ConvergenceError("failed to bracket tangency root", {"z": z})
+    if math.isinf(gp(lo)):
+        # below t ~ 1e-154 (z below about -1e154, root near 1/|z|) the Newton
+        # slope overflows and only bisection steps remain: start them from the
+        # last halving's octave, which holds the root
+        hi = 2.0 * lo
     # the evaluation noise of g is eps * |z|, so the residual target scales
     return bracketed_root(g, lo, hi, gp, residual_tol=1e-13 * max(1.0, abs(z)))
 

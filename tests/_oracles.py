@@ -3,9 +3,10 @@
 Each oracle deliberately avoids the closed forms implemented in the package:
 tangent vectors come from finite differences of the parameterization, lengths
 from discretized line integrals, eigenvalues from monodromy shooting or dense
-collocation on uniform-arclength samples, solution counts from sign-change
-cells of a dense residual grid, Laurent series from one complex power per
-term, level-length derivatives from 5-point stencils.
+collocation on uniform-arclength samples (made by ``resample_arclength``, the
+one resampler, which the package's Galerkin solver does not need), solution
+counts from sign-change cells of a dense residual grid, Laurent series from
+one complex power per term, level-length derivatives from 5-point stencils.
 """
 
 import math
@@ -15,6 +16,8 @@ from scipy.linalg import eigh
 from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
+from catslab.ovals import ClosedCurve
+from catslab.spectral import cumulative_integral, fourier_derivative
 from catslab.weierstrass import flux
 
 TWO_PI = 2.0 * math.pi
@@ -137,6 +140,62 @@ def floquet_lambda1(curve, steps: int = 2048, tol: float = 1e-11):
         j = int(np.argmin(above)) + 1  # first point at or below 2
         lo, hi = float(pts[j - 1]), float(pts[j])
     return 0.5 * (lo + hi)
+
+
+def _trig_interpolate(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of periodic samples at u in [0, 1)."""
+    n = values.shape[0]
+    spec = np.fft.fft(values, axis=0) / n
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    weights = np.exp(2j * math.pi * np.outer(u, modes))
+    if n % 2 == 0:
+        # split the Nyquist mode so the interpolant stays real
+        weights[:, n // 2] = np.cos(math.pi * n * u)
+    out = weights @ spec.reshape(n, -1)
+    return out.real.reshape((len(u),) + values.shape[1:])
+
+
+def _arclength_of(speed: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """s(u) for arbitrary parameters: the integral from 0 of the trig
+    interpolant of periodic ``speed`` samples on [0, 1)."""
+    n = len(speed)
+    a = np.fft.fft(speed) / n
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    wraps = np.floor(u)
+    frac = u - wraps
+    phase = np.exp(2j * math.pi * np.outer(frac, m))
+    nz = m != 0
+    terms = (phase[:, nz] - 1.0) @ (a[nz] / (2j * math.pi * m[nz]))
+    return a[0].real * (frac + wraps) + terms.real
+
+
+def resample_arclength(curve, n: int | None = None):
+    """Resample to uniform arclength; total length preserved, idempotent.
+
+    |c'| is not band-limited, so its N samples alias when the curve has fine
+    features near N/2.  The speed is therefore taken on a zero-padded grid of
+    P = 4N points from the velocity of the position interpolant.  The map
+    from parameter to arclength is inverted from its table at those P nodes
+    plus 4 Newton steps (the exact s(u) against the tabulated speed,
+    interpolated linearly), and the positions come from the interpolant, so
+    the new samples lie exactly on the represented curve.
+    """
+    if n is None:
+        n = len(curve)
+    if n < 32:
+        raise ValueError("need at least 32 samples")
+    P = 4 * len(curve)
+    speed = np.linalg.norm(fourier_derivative(curve.points, 1, P, period=1.0), axis=1)
+    L = float(speed.mean())
+    targets = L * np.arange(n) / n
+
+    u_table = np.arange(P + 1) / P
+    s_table = np.append(cumulative_integral(speed, period=1.0)[0].real, L)
+    speed_table = np.append(speed, speed[0])
+    u = np.interp(targets, s_table, u_table)
+    for _ in range(4):
+        u = u - (_arclength_of(speed, u) - targets) / np.interp(u % 1.0, u_table, speed_table)
+    return ClosedCurve(_trig_interpolate(curve.points, u % 1.0))
 
 
 def dense_collocation_lambda1(curve):

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import _oracles as orc
 from catslab import cli, geometry as geo, ovals as ov
 from catslab import stability as st_mod
 from catslab import thresholds as th
@@ -161,7 +162,11 @@ def test_criterion_7_second_derivative_decomposition():
             annulus = wz.immerse(data, (256, 512))
             index = int(rng.integers(8, 248))
             rep = wz.second_derivative_decomposition(annulus, index)
-            assert rep.fd_value == pytest.approx(rep.formula_value, rel=1e-4)
+            # finite differences: the oracle's 5-point stencil of direct circle lengths
+            _, d2 = orc.level_length_stencil(data, [annulus.log_radii[index]])
+            assert d2[0] / annulus.modulus_mu**2 == pytest.approx(rep.formula_value, rel=1e-4)
+            # the exact L''/mu^2 the decomposition reports, near round-off
+            assert rep.fd_value == pytest.approx(rep.formula_value, rel=1e-12)
 
         for scale in (1.0, 2.5):
             cat = wz.catenoid_data(scale, 1 / math.e, math.e)
@@ -169,6 +174,7 @@ def test_criterion_7_second_derivative_decomposition():
             for index in (16, 32, 48):
                 rep = wz.second_derivative_decomposition(annulus, index)
                 assert rep.beta_term <= 1e-10
+                assert rep.fd_value == pytest.approx(rep.formula_value, rel=1e-12)
 
 
 def test_criterion_8_oval_functional():

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catslab import cli, weierstrass as wz
 from catslab.errors import ConvergenceError
@@ -18,6 +22,35 @@ def run_cli(args, capsys):
 def strict_json(text):
     """Parse JSON, failing on the NaN/Infinity tokens that strict JSON lacks."""
     return json.loads(text, parse_constant=pytest.fail)
+
+
+def _magnitude():
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _terms(powers):
+    """Rows [p, re, im] of distinct powers with magnitudes from 1e-300 to 1e300."""
+    signed = st.tuples(_magnitude(), st.sampled_from([1.0, -1.0, 0.0]))
+    return st.dictionaries(powers, st.tuples(signed, signed), max_size=3).map(
+        lambda d: [[p, s1 * m1, s2 * m2] for p, ((m1, s1), (m2, s2)) in d.items()]
+    )
+
+
+@st.composite
+def annulus_documents(draw):
+    """Weierstrass documents around the catenoid g = a z, h = b / z: extra terms
+    of powers up to +-3000 and magnitudes 1e-300 to 1e300 on radii in
+    [1e-3, 1e3]; small extras keep the data valid, large ones break it."""
+    powers = st.integers(-3000, 3000) | st.integers(-5, 5)
+    g = {1: [1, 10.0 ** draw(st.floats(-2.0, 2.0)), 0.0]}
+    h = {-1: [-1, draw(_magnitude()), 0.0]}
+    for table, base in ((g, 1), (h, -1)):
+        for row in draw(_terms(powers.filter(lambda p, base=base: p != base))):
+            table[row[0]] = row
+    lo = draw(st.floats(-3.0, 2.99))
+    hi = draw(st.floats(lo + 0.01, 3.0))
+    return {"version": 1, "g": list(g.values()), "h": list(h.values()),
+            "r_inner": 10.0**lo, "r_outer": 10.0**hi}
 
 
 @pytest.fixture
@@ -184,6 +217,30 @@ class TestAnnulusCommand:
         doc = json.loads(out1)
         assert doc["summary"]["worst_min_slack"] >= -1e-7
 
+    def test_overflowing_term_refused(self, tmp_path, capsys):
+        # 1e-300 z^2000 is about 1e302 on |z| = e and its z-derivative overflows
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "version": 1, "g": [[1, 1, 0], [2000, 1e-300, 0]], "h": [[-1, 1, 0]],
+            "r_inner": 0.5, "r_outer": 2.718281828,
+        }))
+        code, out, err = run_cli(["annulus", "--input", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert "power 2000" in err
+
+    @given(document=annulus_documents())
+    def test_any_document_exits_cleanly(self, tmp_path_factory, document):
+        # runs under the suite's error::RuntimeWarning filter, so an overflow fails it
+        path = tmp_path_factory.mktemp("doc") / "annulus.json"
+        path.write_text(json.dumps(document))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["annulus", "--input", str(path)])
+        assert code in (0, 3, 4)
+        if out.getvalue():
+            strict_json(out.getvalue())
+        assert (code == 0) == bool(out.getvalue())
+
 
 class TestOvalCommand:
     def test_ellipse_payload(self, tmp_path, capsys):
@@ -345,12 +402,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("apex", [-1e200, 1e200])
     def test_extreme_apex_exits_4(self, tmp_path, capsys, apex):
-        # a tangency height near 1e-200 squares to 0 in the Newton derivative
+        # both tangency heights are solved (one near 1e-200, one near 1e200);
+        # the cosh^2 weight of the Jacobi operator then overflows on the slab
         path = tmp_path / "apex.json"
         path.write_text(json.dumps({"apex_height": apex}))
         code, out, err = run_cli(["ms", "--input", str(path)], capsys)
         assert code == 4 and out == ""
-        assert "error" in strict_json(err)
+        assert "overflows" in strict_json(err)["error"]
 
     def test_linalg_error_exits_4(self, capsys, monkeypatch):
         def fail(config):

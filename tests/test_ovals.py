@@ -59,15 +59,18 @@ class TestClosedCurve:
 
 
 class TestResample:
+    """The arclength resampler in ``_oracles`` that makes the dense-collocation
+    and Floquet oracles' uniform samples."""
+
     def test_circle_any_start(self):
         c = ClosedCurve.circle(1.0, 256)
-        r = ov.resample_arclength(c, 256)
+        r = orc.resample_arclength(c, 256)
         assert r.total_length == pytest.approx(TWO_PI, rel=1e-8)
 
     def test_idempotent(self):
         e = ClosedCurve.ellipse(2.0, 1.0, 256)
-        once = ov.resample_arclength(e, 256)
-        twice = ov.resample_arclength(once, 256)
+        once = orc.resample_arclength(e, 256)
+        twice = orc.resample_arclength(once, 256)
         assert np.abs(twice.points - once.points).max() <= 1e-10
 
     def test_ellipse_against_quadrature_oracle(self):
@@ -79,18 +82,25 @@ class TestResample:
             epsabs=1e-13,
             epsrel=1e-13,
         )
-        resampled = ov.resample_arclength(e, 512)
+        resampled = orc.resample_arclength(e, 512)
         assert resampled.total_length == pytest.approx(oracle, rel=1e-8)
         assert e.total_length == pytest.approx(oracle, rel=1e-8)
 
     def test_uniform_speed_after_resampling(self):
-        r = ov.resample_arclength(ClosedCurve.ellipse(3.0, 1.0, 512), 512)
+        r = orc.resample_arclength(ClosedCurve.ellipse(3.0, 1.0, 512), 512)
         assert np.ptp(r.speed) <= 1e-10 * r.speed.mean()
 
     def test_length_preserved(self):
         curve = ClosedCurve.rounded_polygon(5)
-        resampled = ov.resample_arclength(curve, 512)
+        resampled = orc.resample_arclength(curve, 512)
         assert resampled.total_length == pytest.approx(curve.total_length, rel=1e-8)
+
+    def test_fine_corners_do_not_alias(self):
+        # the speed of this curve aliases on its 256 samples; taken from the
+        # zero-padded velocity, the uniform samples reproduce the Galerkin value
+        curve = ClosedCurve.rounded_polygon(3, 0.08, 256)
+        oracle = orc.dense_collocation_lambda1(orc.resample_arclength(curve, 1024))
+        assert ov.lowest_eigenvalue(curve).lambda1 == pytest.approx(oracle, rel=1e-9)
 
 
 class TestRayleighQuotient:
@@ -103,7 +113,7 @@ class TestRayleighQuotient:
 
     def test_convex_total_curvature_bound(self):
         # for a convex planar curve, RQ(1) = Int kappa^2 / L >= (2 pi / L)^2
-        e = ov.resample_arclength(ClosedCurve.ellipse(2.0, 1.0, 512), 512)
+        e = orc.resample_arclength(ClosedCurve.ellipse(2.0, 1.0, 512), 512)
         rq = ov.rayleigh_quotient(e, np.ones(512))
         total_curvature = float((e.curvature * e.speed).mean())  # = 2 pi
         assert total_curvature == pytest.approx(TWO_PI, rel=1e-10)
@@ -145,7 +155,7 @@ class TestLowestEigenvalue:
 
     def test_dense_collocation_oracle(self):
         curve = ClosedCurve.ellipse(2.0, 1.0, 256)
-        oracle = orc.dense_collocation_lambda1(ov.resample_arclength(curve, 1024))
+        oracle = orc.dense_collocation_lambda1(orc.resample_arclength(curve, 1024))
         assert ov.lowest_eigenvalue(curve).lambda1 == pytest.approx(oracle, rel=1e-9)
 
     # 50:1 needs the Rayleigh-quotient eigenvalue: the eigensolver's own value
@@ -169,7 +179,7 @@ class TestLowestEigenvalue:
         assert info.value.residuals["n"] == 33
 
     def test_variational_upper_bound(self):
-        curve = ov.resample_arclength(ClosedCurve.ellipse(2.0, 1.0, 256), 256)
+        curve = orc.resample_arclength(ClosedCurve.ellipse(2.0, 1.0, 256), 256)
         spec = ov.lowest_eigenvalue(curve)
         rng = np.random.default_rng(1)
         u = np.arange(256) / 256
@@ -205,7 +215,7 @@ class TestLowestEigenvalue:
         ]
         for curve, oracle_n in curves:
             spec = ov.lowest_eigenvalue(curve)
-            uniform = ov.resample_arclength(curve, oracle_n)
+            uniform = orc.resample_arclength(curve, oracle_n)
             oracle = orc.floquet_lambda1(uniform)
             assert spec.lambda1 == pytest.approx(oracle, abs=1e-7 * max(1.0, oracle))
 

@@ -42,6 +42,15 @@ class TestTangentCones:
         assert np.all(np.diff(heights) > 0)
         assert st_mod.tangent_cone_heights(1.0).t_plus > st_mod.tangent_cone_heights(0.0).t_plus
 
+    @pytest.mark.parametrize("z", [1e160, -1e160, 1e300, -1e300])
+    def test_extreme_apex(self, z):
+        # one root is near 1/|z|, where the Newton slope coth^2 t overflows
+        ct = st_mod.tangent_cone_heights(z)
+        small = ct.t_plus if z < 0 else -ct.t_minus
+        assert small * abs(z) == pytest.approx(1.0, rel=1e-12)
+        large = ct.t_minus if z < 0 else ct.t_plus
+        assert large == pytest.approx(z, rel=1e-12)
+
     def test_cone_separation_oracle(self):
         # catenoid stays outside each tangent cone except at the tangency circle
         for z in (-2.0, 0.0, 0.7, 3.0):
