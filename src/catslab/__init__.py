@@ -49,7 +49,6 @@ from .weierstrass import (
     catenoid_data,
     convexity_check,
     cpx_inequality_check,
-    flux,
     immerse,
     level_profile,
     second_derivative_decomposition,

@@ -30,33 +30,37 @@ import numpy as np
 from . import geometry, ovals, stability, thresholds, weierstrass
 from .errors import ConvergenceError, DataInvalidError
 
-# --tol and --grid keys per command, each (default, minimum, maximum).  A
-# tolerance may be any positive finite float.  At the grid maxima the largest
-# run peaks near 400 MiB (annulus levels x n_theta, catenoid n_height x n_theta).
+# Per command: the flags it takes besides --output, --format, --tol and
+# --grid, which every command takes; and its --tol and --grid keys, each
+# (default, minimum, maximum).  A tolerance may be any positive finite float.
+# At the grid maxima the largest run peaks near 400 MiB (annulus levels x
+# n_theta, catenoid n_height x n_theta).
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
 _KNOBS = {
     "catenoid": {
+        "flags": ("--input",),
         "tol": {"area_rtol": (1e-8, *_POSITIVE)},
         "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)},
     },
-    "lambda0": {"tol": {}, "grid": {}},
-    "ms": {"tol": {}, "grid": {"mesh": (4096, 16, 1 << 20)}},
+    "lambda0": {"flags": (), "tol": {}, "grid": {}},
+    "ms": {"flags": ("--input",), "tol": {}, "grid": {"mesh": (4096, 16, 1 << 20)}},
     "threshold": {
+        "flags": ("--input", "--sweep"),
         "tol": {"tangential_rtol": (1e-6, *_POSITIVE)},
         "grid": {"mesh": (1024, 16, 1 << 20)},
     },
     "annulus": {
-        "tol": {"quadrature_rtol": (1e-8, *_POSITIVE), "period_rtol": (1e-8, *_POSITIVE)},
+        "flags": ("--input", "--seed"),
+        "tol": {"quadrature_rtol": (1e-8, *_POSITIVE)},
         # trials has no default: giving it selects the random-trials mode
-        "grid": {
-            "levels": (33, 5, 513),
-            "n_theta": (512, 8, 2048),
-            "trials": (None, 1, 10_000),
-        },
+        "grid": {"levels": (33, 5, 513), "n_theta": (512, 8, 2048), "trials": (None, 1, 10_000)},
     },
-    "oval": {"tol": {"rtol": (1e-8, *_POSITIVE)}, "grid": {"n": (256, 64, 1 << 16)}},
+    "oval": {"flags": ("--input",), "tol": {"rtol": (1e-8, *_POSITIVE)},
+             "grid": {"n": (256, 64, 1 << 16)}},
 }
-_COMMANDS = tuple(_KNOBS)
+# argparse settings of the flags that only some commands take
+_FLAGS = {"--input": {"dest": "input_path"}, "--seed": {"type": int, "default": 0},
+          "--sweep": {"metavar": "A:B:N"}}
 _SWEEP_MAX_ROWS = 100_000
 
 
@@ -72,7 +76,7 @@ class RunConfig:
     sweep: tuple[float, float, int] | None = None
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _KNOBS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
@@ -86,6 +90,8 @@ class RunConfig:
                 _, lo, hi = table[key]
                 if not lo <= value <= hi:
                     raise ValueError(f"{kind} {key} must be in [{lo}, {hi}], got {value}")
+        if "trials" in self.grid and self.input_path is not None:
+            raise ValueError("annulus trials draw their own data and take no --input")
 
     def knob(self, kind: str, key: str):
         """The --tol or --grid value of ``key``, or its default."""
@@ -200,8 +206,8 @@ def _load_input(config: RunConfig, required: bool = True) -> dict | None:
     return doc
 
 
-def _parse_slab(doc: dict, default=(-1.0, 1.0)) -> geometry.Slab:
-    raw = doc.get("slab", list(default))
+def _parse_slab(doc: dict) -> geometry.Slab:
+    raw = doc.get("slab", [-1.0, 1.0])
     try:
         lo, hi = (float(v) for v in raw)
         return geometry.Slab(lo, hi)
@@ -369,7 +375,6 @@ def _run_annulus(config: RunConfig):
     levels = config.knob("grid", "levels")
     n_theta = config.knob("grid", "n_theta")
     quadrature_rtol = config.knob("tol", "quadrature_rtol")
-    period_rtol = config.knob("tol", "period_rtol")
 
     if "trials" in config.grid:
         rng = np.random.default_rng(config.seed)
@@ -399,7 +404,7 @@ def _run_annulus(config: RunConfig):
 
     doc = _load_input(config)
     data = weierstrass.from_json(json.dumps(doc))
-    val = weierstrass.validate(data, period_rtol=period_rtol)
+    val = weierstrass.validate(data)
     profile = weierstrass.level_profile(
         data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
     )
@@ -429,7 +434,7 @@ def _run_annulus(config: RunConfig):
         },
         "tolerances": {
             "quadrature_rtol": quadrature_rtol,
-            "period_rtol": period_rtol,
+            "period_rtol": weierstrass.PERIOD_RTOL,
         },
         "grid": {"levels": levels, "n_theta": n_theta},
     }
@@ -518,25 +523,24 @@ def build_config(argv) -> RunConfig:
         "eigenvalue functional",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, knobs in _KNOBS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", dest="input_path")
         p.add_argument("--output", dest="output_path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", action="append", metavar="KEY=VAL")
         p.add_argument("--grid", action="append", metavar="KEY=VAL")
-        p.add_argument("--sweep", metavar="A:B:N")
-    ns = parser.parse_args(argv)
+        for flag in knobs["flags"]:
+            p.add_argument(flag, **_FLAGS[flag])
+    ns = vars(parser.parse_args(argv))
     return RunConfig(
-        command=ns.command,
-        input_path=ns.input_path,
-        output_path=ns.output_path,
-        format=ns.format,
-        seed=ns.seed,
-        tolerances=_parse_keyval(ns.tol, float, "--tol"),
-        grid=_parse_keyval(ns.grid, int, "--grid"),
-        sweep=_parse_sweep(ns.sweep) if ns.sweep else None,
+        command=ns["command"],
+        input_path=ns.get("input_path"),
+        output_path=ns["output_path"],
+        format=ns["format"],
+        seed=ns.get("seed", 0),
+        tolerances=_parse_keyval(ns["tol"], float, "--tol"),
+        grid=_parse_keyval(ns["grid"], int, "--grid"),
+        sweep=_parse_sweep(ns["sweep"]) if ns.get("sweep") else None,
     )
 
 

@@ -27,6 +27,9 @@ from .spectral import TWO_PI, gauss_legendre, periodic_nodes
 # math.sinh overflows just above 710 and products of large factors lose the
 # chance to cancel before overflowing.
 _EXP_SWITCH = 350.0
+# central-difference step of the quadrature's area element in angle and, times
+# max(1, scale), in height
+_STENCIL_STEP = 1e-5
 
 
 def _sinh(x: float) -> float:
@@ -145,9 +148,7 @@ def area_in_slab(piece: CatenoidPiece) -> float:
     return c * c * area
 
 
-def area_by_quadrature(
-    piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256, fd_step: float = 1e-5
-) -> float:
+def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
     """Area by tensor-product quadrature of the parameterization's area element.
 
     Gauss-Legendre in height times trapezoid in angle (spectrally accurate for
@@ -164,11 +165,11 @@ def area_by_quadrature(
     # heights as a column and angles as a row: parameterize broadcasts them,
     # so each cosh is taken once per height and each cos/sin once per angle
     hh, tt = hs[:, None], thetas[None, :]
-    dh = fd_step * max(1.0, piece.scale)
+    dh = _STENCIL_STEP * max(1.0, piece.scale)
     # keep the height stencil inside the closed slab
     hh_p = np.minimum(hh + dh, b)
     hh_m = np.maximum(hh - dh, a)
-    dth = fd_step
+    dth = _STENCIL_STEP
     f_h = (parameterize(piece, hh_p, tt) - parameterize(piece, hh_m, tt)) / (
         (hh_p - hh_m)[..., None]
     )

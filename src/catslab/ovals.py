@@ -39,6 +39,8 @@ from .errors import ResolutionError
 from .spectral import TWO_PI, cumulative_integral, fourier_derivative
 
 _log = logging.getLogger(__name__)
+# a parameterization is degenerate where its speed falls below this times the mean
+_SPEED_FLOOR = 1e-8
 
 
 class ClosedCurve:
@@ -49,7 +51,7 @@ class ClosedCurve:
     space-curve curvature |T'(s)| (planar curves as a special case).
     """
 
-    def __init__(self, points, *, min_speed_rel: float = 1e-8):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must have shape (N, 3)")
@@ -59,7 +61,7 @@ class ClosedCurve:
             raise ValueError("points must be finite")
         self.points = pts
         speed = self.speed
-        if not speed.mean() > 0.0 or speed.min() < min_speed_rel * speed.mean():
+        if not speed.mean() > 0.0 or speed.min() < _SPEED_FLOOR * speed.mean():
             raise ValueError("degenerate parameterization: speed vanishes")
 
     def __len__(self) -> int:

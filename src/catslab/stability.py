@@ -100,8 +100,7 @@ def dilation_jacobi_field(apex_height: float, height) -> float | np.ndarray:
 class JacobiSpectrumResult:
     lowest_eigenvalue: float
     eigenfunction_samples: np.ndarray
-    mesh_size: int
-    nodes: np.ndarray = field(repr=False, default=None)
+    nodes: np.ndarray = field(repr=False)
 
 
 def _check_piece(piece: CatenoidPiece):
@@ -158,4 +157,4 @@ def lowest_jacobi_eigenvalue(
     u = u / np.max(np.abs(u))
     if u[1] < 0:
         u = -u
-    return JacobiSpectrumResult(float(vals[0]), u, mesh, nodes)
+    return JacobiSpectrumResult(float(vals[0]), u, nodes)

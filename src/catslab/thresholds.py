@@ -128,14 +128,13 @@ def l_crit(slab: Slab) -> float:
 class SpanningResult:
     """Solutions of the boundary-length system, with the tangential-case flag."""
 
-    pieces: list[CatenoidPiece]
     parameters: list[tuple[float, float]]  # (scale, offset) per solution
     tangential: bool
     threshold_upper: float
     residuals: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.pieces)
+        return len(self.parameters)
 
 
 def spanning_catenoids(
@@ -161,10 +160,9 @@ def spanning_catenoids(
     ms = ms_piece_for_lower_length(lower_length, slab)
     threshold = ms.upper_length
     if abs(upper_length - threshold) <= tangential_rtol * threshold:
-        piece = CatenoidPiece(ms.scale, ms.offset, slab)
-        return SpanningResult([piece], [(ms.scale, ms.offset)], True, threshold, [0.0])
+        return SpanningResult([(ms.scale, ms.offset)], True, threshold, [0.0])
     if upper_length < threshold:
-        return SpanningResult([], [], False, threshold)
+        return SpanningResult([], False, threshold)
 
     log_lower, log_upper = math.log(lower_length), math.log(upper_length)
 
@@ -198,10 +196,9 @@ def spanning_catenoids(
         log_ratio = math.log(TWO_PI * lam) + _log_cosh((height - c) / lam) - math.log(length)
         return abs(math.expm1(log_ratio))
 
-    pieces = [CatenoidPiece(lam, c, slab) for lam, c in parameters]
     residuals = [
         max(relative_residual(lam, c, slab.h_minus, lower_length),
             relative_residual(lam, c, slab.h_plus, upper_length))
         for lam, c in parameters
     ]
-    return SpanningResult(pieces, parameters, False, threshold, residuals)
+    return SpanningResult(parameters, False, threshold, residuals)

@@ -52,6 +52,10 @@ from .spectral import TWO_PI, cumulative_integral, fourier_derivative, gauss_leg
 from .spectral import periodic_integral, periodic_nodes
 
 _SCHEMA_VERSION = 1
+# residue conditions: each loop-integral residual at most this times F3
+PERIOD_RTOL = 1e-8
+# the Laurent series of z itself, for z on circle grids
+_Z = {1: 1.0}
 # angles of the circle grids that scan g and take Laurent coefficients by FFT
 _N_SCAN = 4096
 # random data: size of the drawn perturbations of the catenoid, and draws per call
@@ -102,8 +106,8 @@ class WeierstrassData:
     h_coeffs: dict
     r_inner: float
     r_outer: float
-    # validate() results by period_rtol; the data is immutable, so they stay true
-    _validations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the passing validate() result; the data is immutable, so it stays true
+    _validation: DataValidation | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer < math.inf):
@@ -195,25 +199,28 @@ def _on_circles(tables, ts, n: int) -> list:
     return out
 
 
-def _level_lengths(data: WeierstrassData, ts, n: int):
-    """Speeds |F1| = |z g h| and |F2| = |z h / g| on the grid of ``ts`` x n
-    angles (half their sum is the speed of the circle image in theta), and
-    L, L' and L'' at each t (see the module docstring)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+def _speeds(ts, gv, hv):
+    """|F1| = |z g h| and |F2| = |z h / g| on the circles |z| = e^t; half their
+    sum is the metric factor against the flat (log|z|, theta) cylinder."""
+    r = np.exp(np.atleast_1d(ts))[:, None]
+    return r * np.abs(gv * hv), r * np.abs(hv / gv)
+
+
+def _level_values(data: WeierstrassData, ts, n: int) -> list:
+    """g, h, z g' and z h' on the grid of ``ts`` x n angles."""
     g, h = data.g_coeffs, data.h_coeffs
-    gv, hv, zdg, zdh = _on_circles([g, h, _z_derivative(g), _z_derivative(h)], ts, n)
-    r = np.exp(ts)[:, None]
-    a, b = r * np.abs(gv * hv), r * np.abs(hv / gv)
+    return _on_circles([g, h, _z_derivative(g), _z_derivative(h)], ts, n)
+
+
+def _level_lengths(ts, gv, hv, zdg, zdh):
+    """Speeds |F1| and |F2| from the ``_level_values`` of the circles of
+    ``ts``, and L, L' and L'' at each t (see the module docstring)."""
+    a, b = _speeds(ts, gv, hv)
     u1, u2 = 1.0 + zdg / gv + zdh / hv, 1.0 - zdg / gv + zdh / hv
     lengths = periodic_integral(0.5 * (a + b))
     first = periodic_integral(0.5 * (a * u1.real + b * u2.real))
     second = periodic_integral(0.5 * (a * np.abs(u1) ** 2 + b * np.abs(u2) ** 2))
     return a, b, lengths, first, second
-
-
-def _conformal_factor(gv, hv, r):
-    """Metric factor of the immersion against the flat (log|z|, theta) cylinder."""
-    return 0.5 * (np.abs(gv) + 1.0 / np.abs(gv)) * np.abs(hv) * r
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +235,13 @@ def _winding_number(values: np.ndarray) -> int:
     return int(round(increments.sum() / TWO_PI))
 
 
-def _loop_flux(data: WeierstrassData, t: float, n: int):
+def _loop_flux(data: WeierstrassData, t: float):
     """Loop integrals of h dz, g h dz and h/g dz around |z| = e^t, each divided
     by i, and the flux vector they give; raises DataInvalidError unless the
     vertical flux is at least 1e-150, so that the geometric gauge's mu^2 is a
     normal float."""
     zh = {p + 1: c for p, c in data.h_coeffs.items()}  # h dz = i z h dtheta
-    gv, zhv = (v[0] for v in _on_circles([data.g_coeffs, zh], [t], n))
+    gv, zhv = (v[0] for v in _on_circles([data.g_coeffs, zh], [t], _N_SCAN))
     q_h, q_gh, q_gih = (complex(periodic_integral(v)) for v in (zhv, gv * zhv, zhv / gv))
     fl = np.array([0.5 * (q_gih.real - q_gh.real), -0.5 * (q_gih.imag + q_gh.imag), q_h.real])
     fl += 0.0  # reports 0.0, not -0.0, for an exactly vertical flux
@@ -255,7 +262,7 @@ class DataValidation:
     mu: float
 
 
-def validate(data: WeierstrassData, *, period_rtol: float = 1e-8) -> DataValidation:
+def validate(data: WeierstrassData) -> DataValidation:
     """Certify the data invariants; raises DataInvalidError on violation.
 
     Nonvanishing of g is certified by equal winding numbers on the inner and
@@ -263,11 +270,11 @@ def validate(data: WeierstrassData, *, period_rtol: float = 1e-8) -> DataValidat
     spaced circles of 4096 angles from the inner to the outer one.  The
     residue conditions (real residue of h, vanishing z^-1 coefficients of g*h
     and h/g) are measured by spectrally accurate loop integrals and compared
-    against ``period_rtol`` times the vertical flux.  A passing result is kept
-    on the (immutable) data and returned again for the same ``period_rtol``.
+    against ``PERIOD_RTOL`` times the vertical flux.  A passing result is kept
+    on the (immutable) data and returned again; a failure is not kept.
     """
-    if period_rtol in data._validations:
-        return data._validations[period_rtol]
+    if data._validation is not None:
+        return data._validation
     t_lo, t_hi = math.log(data.r_inner), math.log(data.r_outer)
     (gv,) = _on_circles([data.g_coeffs], np.linspace(t_lo, t_hi, 8), _N_SCAN)
     windings = _winding_number(gv[0]), _winding_number(gv[-1])
@@ -279,24 +286,18 @@ def validate(data: WeierstrassData, *, period_rtol: float = 1e-8) -> DataValidat
     if min_mod < 1e-6:
         raise DataInvalidError(f"g modulus {min_mod:.3e} below margin 1e-6 on scanned circles")
 
-    fl, q_h, q_gh, q_gih = _loop_flux(data, 0.5 * (t_lo + t_hi), _N_SCAN)
+    fl, q_h, q_gh, q_gih = _loop_flux(data, 0.5 * (t_lo + t_hi))
     f3 = q_h.real
     residuals = {"height_period": abs(q_h.imag), "g_dh": abs(q_gh), "ginv_dh": abs(q_gih)}
     worst = max(residuals.values())
-    if not (worst <= period_rtol * f3):
+    if not (worst <= PERIOD_RTOL * f3):
         raise DataInvalidError(
-            f"period residuals {residuals} exceed {period_rtol:.1e} * F3 = {period_rtol * f3:.3e}"
+            f"period residuals {residuals} exceed {PERIOD_RTOL:.1e} * F3 = {PERIOD_RTOL * f3:.3e}"
         )
     fl.flags.writeable = False
     result = DataValidation(windings[0], min_mod, residuals, fl, f3, f3 / TWO_PI)
-    data._validations[period_rtol] = result
+    object.__setattr__(data, "_validation", result)
     return result
-
-
-def flux(data: WeierstrassData, *, radius: float | None = None) -> np.ndarray:
-    """Flux vector of the core circle (homology invariant; any radius works)."""
-    rho = radius if radius is not None else math.sqrt(data.r_inner * data.r_outer)
-    return _loop_flux(data, math.log(rho), 2048)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def level_profile(
         raise ValueError("need at least 5 levels")
     val = validate(data)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), num_levels)
-    a, b, lengths, _, second = _level_lengths(data, ts, 2 * n_theta)
+    a, b, lengths, _, second = _level_lengths(ts, *_level_values(data, ts, 2 * n_theta))
 
     a, b = a[:, ::2], b[:, ::2]  # the n_theta-angle grid
     scale = max(a.max(), b.max())
@@ -563,20 +564,12 @@ def _phi(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.stack([0.5 * (ginv - gv) * hv, 0.5j * (ginv + gv) * hv, hv + 0.0j], axis=-1)
 
 
-def _immersion_tables(data: WeierstrassData, ts, n: int):
-    """z, g, h and the Hopf-type coefficient q = g'/g * h * z^2 (in w = log z)
-    on the circle grid of ``ts`` x n angles."""
-    gv, hv, zdg = _on_circles([data.g_coeffs, data.h_coeffs, _z_derivative(data.g_coeffs)], ts, n)
-    z = np.exp(np.atleast_1d(ts))[:, None] * np.exp(1j * periodic_nodes(n))
-    return z, gv, hv, zdg / gv * hv * z
-
-
 def _radial_cumulative(data: WeierstrassData, ts: np.ndarray) -> np.ndarray:
     """Cumulative integrals of the Weierstrass integrand from ts[0] along the
     rays arg z = 0 and arg z = pi, shape (levels, 2 rays, 3): a 12-point
     Gauss rule per level interval, all nodes evaluated at once."""
     tau, w = gauss_legendre(12, ts[:-1, None], ts[1:, None])
-    z, gv, hv, _ = _immersion_tables(data, tau.ravel(), 2)
+    z, gv, hv = _on_circles([_Z, data.g_coeffs, data.h_coeffs], tau.ravel(), 2)
     vals = (_phi(gv, hv) * z[..., None]).reshape(tau.shape + (2, 3))  # dz = z dtau
     steps = (w[:, :, None, None] * vals).sum(axis=1)
     return np.concatenate([np.zeros((1, 2, 3), dtype=complex), np.cumsum(steps, axis=0)])
@@ -584,22 +577,20 @@ def _radial_cumulative(data: WeierstrassData, ts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SampledAnnulus:
-    """Immersed (modulus x angle) grid with per-node first/second order data.
+    """Immersed (modulus x angle) grid with per-node metric factor and normal.
 
     ``metric_factor`` is the conformal factor with respect to the flat
-    (t, theta) cylinder coordinates (t = log|z|); ``second_form`` is the second
-    fundamental form in the (d/dt, d/dtheta) frame.
+    (t, theta) cylinder coordinates (t = log|z|).
     """
 
     grid: np.ndarray
     metric_factor: np.ndarray
     normal: np.ndarray
-    second_form: np.ndarray
     flux_vertical: float
     modulus_mu: float
     log_radii: np.ndarray
     thetas: np.ndarray
-    data: WeierstrassData = field(repr=False, default=None)
+    data: WeierstrassData = field(repr=False)
 
     def __post_init__(self):
         if np.any(self.metric_factor <= 0.0):
@@ -628,7 +619,7 @@ def immerse(data: WeierstrassData, grid_spec: tuple[int, int] = (64, 256)) -> Sa
     val = validate(data)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), M)
     thetas = periodic_nodes(N)
-    z, gv, hv, q = _immersion_tables(data, ts, N)
+    z, gv, hv = _on_circles([_Z, data.g_coeffs, data.h_coeffs], ts, N)
 
     f_ang = _phi(gv, hv) * (1j * z)[..., None]  # integrand for d theta
     I_ang, periods = cumulative_integral(np.moveaxis(f_ang, -1, 0).reshape(3 * M, N))
@@ -638,7 +629,8 @@ def immerse(data: WeierstrassData, grid_spec: tuple[int, int] = (64, 256)) -> Sa
     R = _radial_cumulative(data, ts)
     F = (R[:, 0][:, None, :] + I_ang).real
 
-    metric = _conformal_factor(gv, hv, np.abs(z))
+    speed_1, speed_2 = _speeds(ts, gv, hv)
+    metric = 0.5 * (speed_1 + speed_2)
     if not (metric.min() >= 1e-9 * np.median(metric)):
         raise DataInvalidError(
             f"branch point: metric factor {metric.min():.3e} vanishes on the grid"
@@ -647,8 +639,6 @@ def immerse(data: WeierstrassData, grid_spec: tuple[int, int] = (64, 256)) -> Sa
     absg2 = np.abs(gv) ** 2
     normal = np.stack([2.0 * gv.real, 2.0 * gv.imag, absg2 - 1.0], axis=-1)
     normal = normal / (absg2 + 1.0)[..., None]
-
-    second_form = np.stack([q.real, -q.imag, -q.imag, -q.real], axis=-1).reshape(z.shape + (2, 2))
 
     size = max(1.0, float(np.ptp(F.reshape(-1, 3), axis=0).max()))
     closure = np.abs(periods.real).max()
@@ -666,7 +656,7 @@ def immerse(data: WeierstrassData, grid_spec: tuple[int, int] = (64, 256)) -> Sa
     F[..., 1] -= F[:, :, 1][j_mid].mean()
     F[..., 2] -= F[j_mid, :, 2].mean() - val.mu * ts[j_mid]
 
-    return SampledAnnulus(F, metric, normal, second_form, val.f3, val.mu, ts, thetas, data)
+    return SampledAnnulus(F, metric, normal, val.f3, val.mu, ts, thetas, data)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +691,6 @@ def second_derivative_decomposition(
     identity on minimal annuli; beta_term reports the beta contribution alone.
     """
     data = annulus.data
-    if data is None:
-        raise ValueError("annulus carries no source data")
     if not is_vertical_gauge(data):
         raise ValueError(
             "second_derivative_decomposition needs vertical-gauge data (h = mu/z "
@@ -715,17 +703,17 @@ def second_derivative_decomposition(
         raise ValueError(f"level index must be in [0, {M}), got {level_index}")
     t = float(annulus.log_radii[level_index])
     mu = annulus.modulus_mu
-    fd_value = _level_lengths(data, t, N)[4][0] / mu**2
+    values = _level_values(data, t, N)
+    fd_value = _level_lengths(t, *values)[4][0] / mu**2
 
-    z, gv, hv, q = (v[0] for v in _immersion_tables(data, t, N))
+    z = _on_circles([_Z], t, N)[0][0]
+    gv, hv, zdg = (v[0] for v in values[:3])
+    q = zdg / gv * hv * z  # the Hopf-type coefficient g'/g * h * z^2 (in w = log z)
     c_prime = (_phi(gv, hv) * (1j * z)[:, None]).real  # d/dtheta of the immersed curve
     c_second = fourier_derivative(c_prime)
 
-    speed = np.linalg.norm(c_prime, axis=1)  # equals the conformal factor
-    cross = np.cross(c_prime, c_second)
-    kappa = np.linalg.norm(cross, axis=1) / speed**3
-
-    lam = annulus.metric_factor[level_index]
+    lam = annulus.metric_factor[level_index]  # the speed |c_prime|
+    kappa = np.linalg.norm(np.cross(c_prime, c_second), axis=1) / lam**3
     inv_grad = lam / mu  # 1/|grad x3| on the level
     d_invgrad = fourier_derivative(inv_grad) / lam
     beta = -q.imag / lam**2
@@ -771,11 +759,12 @@ def area_comparison(data: WeierstrassData, slab: Slab, *, num_levels: int = 65) 
 
     tq, wq = gauss_legendre(96, ta, tb)
     gv, hv = _on_circles([data.g_coeffs, data.h_coeffs], tq, n_theta)
-    lam_w = _conformal_factor(gv, hv, np.exp(tq)[:, None])
+    speed_1, speed_2 = _speeds(tq, gv, hv)
+    lam_w = 0.5 * (speed_1 + speed_2)
     area_sigma = float((wq * (lam_w**2).mean(axis=1) * TWO_PI).sum())
 
     levels = np.linspace(ta, tb, num_levels)
-    _, _, L_sigma, slope, _ = _level_lengths(data, levels, n_theta)
+    _, _, L_sigma, slope, _ = _level_lengths(levels, *_level_values(data, levels, n_theta))
     if slope[0] >= 0.0:
         t0 = ta
     elif slope[-1] <= 0.0:
@@ -783,7 +772,9 @@ def area_comparison(data: WeierstrassData, slab: Slab, *, num_levels: int = 65) 
     else:
         j = int(np.argmax(slope > 0.0))
         # solved for u = t - ta: necks sit near t = 0, where a relative stopping test fails
-        at = functools.lru_cache(maxsize=None)(lambda u: _level_lengths(data, ta + u, n_theta))
+        at = functools.lru_cache(maxsize=None)(
+            lambda u: _level_lengths(ta + u, *_level_values(data, ta + u, n_theta))
+        )
         t0 = ta + bracketed_root(
             lambda u: float(at(u)[3][0]),
             float(levels[j - 1] - ta),

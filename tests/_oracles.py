@@ -6,7 +6,8 @@ from discretized line integrals, eigenvalues from monodromy shooting or dense
 collocation on uniform-arclength samples (made by ``resample_arclength``, the
 one resampler, which the package's Galerkin solver does not need), solution
 counts from sign-change cells of a dense residual grid, Laurent series from
-one complex power per term, level-length derivatives from 5-point stencils.
+one complex power per term, level-length derivatives from 5-point stencils,
+Weierstrass flux vectors from loop integrals of directly evaluated g and h.
 """
 
 import math
@@ -18,7 +19,6 @@ from scipy.signal import resample as trig_resample
 from catslab.geometry import CatenoidPiece, parameterize
 from catslab.ovals import ClosedCurve
 from catslab.spectral import cumulative_integral, fourier_derivative
-from catslab.weierstrass import flux
 
 TWO_PI = 2.0 * math.pi
 
@@ -383,6 +383,18 @@ def neck_by_minimization(data, ta: float, tb: float, n: int = 512) -> float:
             if abs(d1 / d2) < 1e-13:
                 break
     return t0
+
+
+def flux(data, *, radius: float | None = None):
+    """Flux vector Re Int phi dz / i of the circle |z| = ``radius`` (default
+    the core circle), with phi the Weierstrass integrand of directly
+    evaluated g and h.  For data that meets the residue conditions it is
+    (0, 0, 2 pi Res h) at any radius; unbalanced data tilts it."""
+    rho = radius if radius is not None else math.sqrt(data.r_inner * data.r_outer)
+    z = rho * np.exp(1j * np.linspace(0.0, TWO_PI, 2048, endpoint=False))
+    g, h = laurent_direct(data.g_coeffs, z), laurent_direct(data.h_coeffs, z)
+    phi = np.stack([0.5 * (1 / g - g) * h, 0.5j * (1 / g + g) * h, h], axis=-1)
+    return (phi * z[:, None]).mean(axis=0).real * TWO_PI  # dz / i = z dtheta
 
 
 def required_rotation(data, *, rtol: float = 1e-10):

@@ -221,7 +221,7 @@ def test_criterion_9_infrastructure(tmp_path, capsys):
         # serialization round-trips bit-exactly
         back = wz.from_json(wz.to_json(cat))
         assert back == cat
-        assert wz.flux(back)[2] == wz.flux(cat)[2]
+        assert orc.flux(back)[2] == orc.flux(cat)[2]
 
         # exit-code contract
         assert cli.main(["threshold", "--tol", "nonsense=1"]) == 2

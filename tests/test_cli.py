@@ -36,6 +36,59 @@ def _terms(powers):
     )
 
 
+def _numbers():
+    """Numbers of either sign from 1e-3 to 1e3 and from 1e-300 to 1e300, zero,
+    the non-finite floats (written as Infinity and NaN) and a few non-numbers."""
+    sign = st.sampled_from([1.0, -1.0])
+    moderate = st.tuples(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), sign)
+    extreme = st.tuples(_magnitude(), sign)
+    return (
+        (moderate | extreme).map(lambda t: t[0] * t[1])
+        | st.sampled_from([0.0, math.inf, -math.inf, math.nan])
+        | st.sampled_from(["1", None, [1.0], {}])
+    )
+
+
+def _slabs():
+    ordered = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).map(sorted)
+    return ordered | st.lists(_numbers(), max_size=3)
+
+
+# the documents of the commands that read one; each value may be out of range,
+# non-finite or of the wrong type, and an unknown key may ride along
+_DOCUMENTS = {
+    "catenoid": st.fixed_dictionaries(
+        {"scale": _numbers()},
+        optional={"offset": _numbers(), "slab": _slabs(), "bogus": _numbers()},
+    ),
+    "ms": st.fixed_dictionaries({"apex_height": _numbers()}, optional={"bogus": _numbers()}),
+    "threshold": st.fixed_dictionaries(
+        {"lower_length": _numbers(), "upper_length": _numbers()},
+        optional={"slab": _slabs(), "bogus": _numbers()},
+    ),
+}
+
+
+def _run_document(tmp_path_factory, command, document):
+    """(exit code, stdout) of ``command --input`` on the document, run in process."""
+    path = tmp_path_factory.mktemp("doc") / f"{command}.json"
+    path.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(path)])
+    return code, out.getvalue()
+
+
+def assert_exits_cleanly_and_repeats(tmp_path_factory, command, document):
+    # runs under the suite's error::RuntimeWarning filter, so an overflow fails it
+    code, out = first = _run_document(tmp_path_factory, command, document)
+    assert code in (0, 2, 3, 4, 5)
+    if out:
+        strict_json(out)
+    assert (code == 0) == bool(out)
+    assert _run_document(tmp_path_factory, command, document) == first
+
+
 @st.composite
 def annulus_documents(draw):
     """Weierstrass documents around the catenoid g = a z, h = b / z: extra terms
@@ -99,6 +152,10 @@ class TestCatenoidCommand:
         assert code == 4 and out == ""
         strict_json(err)
 
+    @given(document=_DOCUMENTS["catenoid"])
+    def test_any_document_exits_cleanly(self, tmp_path_factory, document):
+        assert_exits_cleanly_and_repeats(tmp_path_factory, "catenoid", document)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [3e-3, 4e-3, 5e-3])
     def test_thin_catenoid_quadrature_stays_finite(self, tmp_path, capsys, scale):
@@ -128,6 +185,10 @@ class TestMsCommand:
         code, out, err = run_cli(["ms", "--input", str(spec)], capsys)
         assert code == 4 and out == ""
         assert json.loads(err)["residuals"]["h_plus"] > 355.0
+
+    @given(document=_DOCUMENTS["ms"])
+    def test_any_document_exits_cleanly(self, tmp_path_factory, document):
+        assert_exits_cleanly_and_repeats(tmp_path_factory, "ms", document)
 
 
 class TestThresholdCommand:
@@ -180,6 +241,10 @@ class TestThresholdCommand:
         doc = strict_json(out)
         assert doc["count"] == 2
         assert 0.0 <= doc["residuals"]["max_solution_rel"] <= 1e-9
+
+    @given(document=_DOCUMENTS["threshold"])
+    def test_any_document_exits_cleanly(self, tmp_path_factory, document):
+        assert_exits_cleanly_and_repeats(tmp_path_factory, "threshold", document)
 
 
 class TestAnnulusCommand:
@@ -346,11 +411,39 @@ class TestExitCodes:
         assert code == 2 and out == "" and "bad configuration" in err
 
     def test_knob_defaults_within_bounds(self):
-        for command, kinds in cli._KNOBS.items():
-            for table in kinds.values():
-                for key, (default, lo, hi) in table.items():
+        for command, knobs in cli._KNOBS.items():
+            for kind in ("tol", "grid"):
+                for key, (default, lo, hi) in knobs[kind].items():
                     if default is not None:  # annulus trials: giving it selects a mode
                         assert lo <= default <= hi, (command, key)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lambda0", "--sweep", "1:2:3", "--seed", "5", "--input", "/nonexistent"],
+         ["lambda0", "--input", "/nonexistent"],
+         ["annulus", "--grid", "trials=1", "--input", "/nonexistent", "--sweep", "1:2:2"],
+         ["annulus", "--grid", "trials=1", "--input", "/nonexistent"],
+         ["threshold", "--sweep", "1:2:2", "--seed", "5"],
+         ["ms", "--sweep", "1:2:2"],
+         ["oval", "--seed", "5"]],
+    )
+    def test_ignored_flag_refused(self, capsys, args):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 2 and out == ""
+
+    def test_period_tolerance_is_fixed(self, tmp_path, capsys):
+        # residual 2 pi * 2e-8 in g dh: 2e-8 * F3, above the fixed 1e-8 * F3
+        path = tmp_path / "unbalanced.json"
+        path.write_text(json.dumps({
+            "version": 1, "g": [[1, 1.0, 0.0]], "h": [[-1, 1.0, 0.0], [-2, 2e-8, 0.0]],
+            "r_inner": 0.5, "r_outer": 2.0,
+        }))
+        code, out, err = run_cli(
+            ["annulus", "--input", str(path), "--tol", "period_rtol=1e-6"], capsys
+        )
+        assert code == 2 and out == "" and "unknown tol key" in err
+        code, out, err = run_cli(["annulus", "--input", str(path)], capsys)
+        assert code == 3 and out == "" and "exceed 1.0e-08 * F3" in err
 
     def test_negative_tolerance(self, capsys):
         code, _, _ = run_cli(["oval", "--tol", "rtol=-1"], capsys)

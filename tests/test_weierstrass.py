@@ -54,7 +54,6 @@ class TestValidation:
         data = wz.random_annulus_data(rng)
         first = wz.validate(data)
         assert wz.validate(data) is first
-        assert wz.validate(data, period_rtol=1e-9) is not first
         assert not first.flux_vector.flags.writeable
         assert wz.validate(data.scaled(2.0)).f3 == pytest.approx(2 * first.f3, rel=1e-12)
 
@@ -110,21 +109,21 @@ class TestValidation:
 
 class TestFlux:
     def test_catenoid_flux(self, cat_data):
-        vec = wz.flux(cat_data)
+        vec = orc.flux(cat_data)
         assert vec[2] == pytest.approx(TWO_PI, rel=1e-12)
         assert np.abs(vec[:2]).max() <= 1e-10
 
     def test_homothety(self, cat_data, rng):
         data = wz.random_annulus_data(rng)
         for c in (0.5, 2.0):
-            assert wz.flux(data.scaled(c))[2] == pytest.approx(
-                c * wz.flux(data)[2], rel=1e-12
+            assert orc.flux(data.scaled(c))[2] == pytest.approx(
+                c * orc.flux(data)[2], rel=1e-12
             )
 
     def test_homology_invariance(self, rng):
         data = wz.random_annulus_data(rng)
         values = [
-            wz.flux(data, radius=r)
+            orc.flux(data, radius=r)
             for r in (data.r_inner * 1.0001, 1.0, data.r_outer * 0.9999)
         ]
         for vec in values[1:]:
@@ -132,8 +131,11 @@ class TestFlux:
 
     def test_horizontal_components_small(self, rng):
         for _ in range(5):
-            vec = wz.flux(wz.random_annulus_data(rng))
+            data = wz.random_annulus_data(rng)
+            vec = orc.flux(data)
             assert np.abs(vec[:2]).max() <= 1e-10
+            # the library's flux vector is the one validate reports
+            assert np.abs(wz.validate(data).flux_vector - vec).max() <= 1e-12 * vec[2]
 
     def test_required_rotation(self, cat_data):
         axis, angle = orc.required_rotation(cat_data)
@@ -411,7 +413,7 @@ class TestSerialization:
             assert back.g_coeffs == data.g_coeffs
             assert back.h_coeffs == data.h_coeffs
             assert back.r_inner == data.r_inner and back.r_outer == data.r_outer
-            assert wz.flux(back)[2] == wz.flux(data)[2]
+            assert orc.flux(back)[2] == orc.flux(data)[2]
 
     def test_unknown_keys_rejected(self, cat_data):
         doc = json.loads(wz.to_json(cat_data))
@@ -470,7 +472,7 @@ class TestExactLevelDerivatives:
     def test_first_derivative_matches_central_difference(self, seeded_trials):
         ts = np.linspace(-0.9, 0.9, 13)
         for data in seeded_trials:
-            _, _, lengths, first, _ = wz._level_lengths(data, ts, 512)
+            _, _, lengths, first, _ = wz._level_lengths(ts, *wz._level_values(data, ts, 512))
             d1, _ = orc.level_length_stencil(data, ts)
             assert np.abs(first - d1).max() <= 1e-9 * lengths.max()
 
