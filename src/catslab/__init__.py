@@ -17,8 +17,6 @@ from .geometry import (
     area_in_slab,
     boundary_length,
     level_length,
-    ms_indicator,
-    ms_indicator_zero,
     parameterize,
     reduce_to_canonical,
     solve_lambda0,

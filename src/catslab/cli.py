@@ -1,10 +1,15 @@
 """Command-line surface: deterministic JSON/CSV emission for every computation.
 
+Each command runs one mode, a row of _KNOBS: ``threshold`` a pair document or
+a --sweep, ``annulus`` a Weierstrass document or --grid trials=N random data.
+A mode reads every flag and key of its row and refuses any other.
+
 Exit codes: 0 success, 2 bad configuration (flags, tolerance/grid keys and
 their bounds), 3 bad input data (missing/unparsable/invalid files, non-finite
-numbers), 4 numerical non-convergence, a failed linear-algebra routine or a
-non-finite result (a residual dump goes to stderr), 5 out of memory.  Stdout
-and the stderr dumps are strict JSON: no NaN or Infinity.
+numbers), 4 numerical non-convergence, a failed linear-algebra routine, a
+floating-point overflow or a non-finite result (a residual dump goes to
+stderr), 5 out of memory.  Stdout and the stderr dumps are strict JSON: no NaN
+or Infinity.
 
 Numbers are emitted with 15 significant digits; output for a fixed
 configuration and seed is byte-identical.  JSON is the canonical format and
@@ -30,38 +35,8 @@ import numpy as np
 from . import geometry, ovals, stability, thresholds, weierstrass
 from .errors import ConvergenceError, DataInvalidError
 
-# Per command: the flags it takes besides --output, --format, --tol and
-# --grid, which every command takes; and its --tol and --grid keys, each
-# (default, minimum, maximum).  A tolerance may be any positive finite float.
-# At the grid maxima the largest run peaks near 400 MiB (annulus levels x
-# n_theta, catenoid n_height x n_theta).
-_POSITIVE = (math.ulp(0.0), sys.float_info.max)
-_KNOBS = {
-    "catenoid": {
-        "flags": ("--input",),
-        "tol": {"area_rtol": (1e-8, *_POSITIVE)},
-        "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)},
-    },
-    "lambda0": {"flags": (), "tol": {}, "grid": {}},
-    "ms": {"flags": ("--input",), "tol": {}, "grid": {"mesh": (4096, 16, 1 << 20)}},
-    "threshold": {
-        "flags": ("--input", "--sweep"),
-        "tol": {"tangential_rtol": (1e-6, *_POSITIVE)},
-        "grid": {"mesh": (1024, 16, 1 << 20)},
-    },
-    "annulus": {
-        "flags": ("--input", "--seed"),
-        "tol": {"quadrature_rtol": (1e-8, *_POSITIVE)},
-        # trials has no default: giving it selects the random-trials mode
-        "grid": {"levels": (33, 5, 513), "n_theta": (512, 8, 2048), "trials": (None, 1, 10_000)},
-    },
-    "oval": {"flags": ("--input",), "tol": {"rtol": (1e-8, *_POSITIVE)},
-             "grid": {"n": (256, 64, 1 << 16)}},
-}
-# argparse settings of the flags that only some commands take
-_FLAGS = {"--input": {"dest": "input_path"}, "--seed": {"type": int, "default": 0},
-          "--sweep": {"metavar": "A:B:N"}}
 _SWEEP_MAX_ROWS = 100_000
+_OVAL_N = (256, 1 << 16)  # an oval document's "n": default and maximum
 
 
 @dataclass
@@ -70,33 +45,35 @@ class RunConfig:
     input_path: str | None = None
     output_path: str | None = None
     format: str = "json"
-    seed: int = 0
+    seed: int | None = None
     tolerances: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     sweep: tuple[float, float, int] | None = None
+    mode: str = field(init=False)
 
     def __post_init__(self):
-        if self.command not in _KNOBS:
+        if self.command not in _KNOBS or " " in self.command:  # "threshold --sweep" is a mode
             raise ValueError(f"unknown command {self.command!r}")
+        self.mode = self.command  # the _KNOBS row; --sweep and --grid trials select one
+        if self.command == "threshold" and self.sweep is not None:
+            self.mode = "threshold --sweep"
+        elif self.command == "annulus" and "trials" in self.grid:
+            self.mode = "annulus trials"
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        row = _KNOBS[self.mode]
+        for flag, settings in _FLAGS.items():
+            if getattr(self, settings["dest"]) is not None and flag not in row["flags"]:
+                raise ValueError(f"{self.mode} takes no {flag}")
         for kind, given in (("tol", self.tolerances), ("grid", self.grid)):
-            table = _KNOBS[self.command][kind]
             for key, value in given.items():
-                if key not in table:
-                    raise ValueError(f"unknown {kind} key {key!r} for {self.command}")
-                _, lo, hi = table[key]
+                if key not in row[kind]:
+                    raise ValueError(f"unknown {kind} key {key!r} for {self.mode}")
+                _, lo, hi = row[kind][key]
                 if not lo <= value <= hi:
                     raise ValueError(f"{kind} {key} must be in [{lo}, {hi}], got {value}")
-        if "trials" in self.grid and self.input_path is not None:
-            raise ValueError("annulus trials draw their own data and take no --input")
-
-    def knob(self, kind: str, key: str):
-        """The --tol or --grid value of ``key``, or its default."""
-        given = self.tolerances if kind == "tol" else self.grid
-        return given.get(key, _KNOBS[self.command][kind][key][0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +166,9 @@ def _write_atomic(path: str, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _load_input(config: RunConfig, required: bool = True) -> dict | None:
-    if config.input_path is None:
-        if required:
-            raise DataInvalidError(f"command {config.command} requires --input")
-        return None
+def _load_input(path: str) -> dict:
     try:
-        with open(config.input_path) as handle:
+        with open(path) as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise DataInvalidError(f"cannot read input: {exc}") from exc
@@ -222,11 +195,12 @@ def _require_keys(doc: dict, allowed: set, context: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, csv_rows or None)
+# mode handlers: each takes its _KNOBS row's flags positionally and its --tol
+# and --grid keys by keyword, and returns (payload, csv_rows or None)
 # ---------------------------------------------------------------------------
 
 
-def _run_lambda0(config: RunConfig):
+def _run_lambda0():
     lam0 = geometry.solve_lambda0()
     res_sinh = abs(2.0 * lam0 / (1.0 - lam0 * lam0) - math.sinh(2.0 / lam0))
     res_tanh = abs(math.tanh(1.0 / lam0) - lam0)
@@ -238,8 +212,7 @@ def _run_lambda0(config: RunConfig):
     return payload, None
 
 
-def _run_catenoid(config: RunConfig):
-    doc = _load_input(config)
+def _run_catenoid(doc, *, area_rtol, n_height, n_theta):
     _require_keys(doc, {"scale", "offset", "slab"}, "catenoid input")
     try:
         piece = geometry.CatenoidPiece(
@@ -247,9 +220,6 @@ def _run_catenoid(config: RunConfig):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad catenoid input: {exc}") from exc
-    area_rtol = config.knob("tol", "area_rtol")
-    n_height = config.knob("grid", "n_height")
-    n_theta = config.knob("grid", "n_theta")
     area = geometry.area_in_slab(piece)
     if not math.isfinite(area):  # cosh((h - offset) / scale) overflows on the slab
         raise ConvergenceError(
@@ -279,16 +249,14 @@ def _run_catenoid(config: RunConfig):
     return payload, None
 
 
-def _run_ms(config: RunConfig):
-    doc = _load_input(config)
+def _run_ms(doc, *, mesh):
     _require_keys(doc, {"apex_height"}, "ms input")
     try:
         apex = float(doc["apex_height"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad ms input: {exc}") from exc
-    mesh = config.knob("grid", "mesh")
     ct = stability.tangent_cone_heights(apex)
-    piece = stability.cat_ms(apex)
+    piece = geometry.CatenoidPiece(1.0, 0.0, geometry.Slab(ct.t_minus, ct.t_plus))
     spectrum = stability.lowest_jacobi_eigenvalue(piece, mesh=mesh)
     res_plus = abs(ct.t_plus - 1.0 / math.tanh(ct.t_plus) - apex)
     res_minus = abs(ct.t_minus - 1.0 / math.tanh(ct.t_minus) - apex)
@@ -309,39 +277,7 @@ def _run_ms(config: RunConfig):
     return payload, None
 
 
-def _run_threshold(config: RunConfig):
-    mesh = config.knob("grid", "mesh")
-    tangential_rtol = config.knob("tol", "tangential_rtol")
-    if config.sweep is not None:
-        doc = _load_input(config, required=False) or {}
-        _require_keys(doc, {"slab"}, "threshold input")
-        slab = _parse_slab(doc)
-        lo, hi, count = config.sweep
-        rows = []
-        for L in np.linspace(lo, hi, count):
-            ms = thresholds.ms_piece_for_lower_length(float(L), slab)
-            unit = ms.unit_piece()
-            mu1 = stability.lowest_jacobi_eigenvalue(unit, mesh=mesh).lowest_eigenvalue
-            rows.append(
-                {
-                    "L_minus": float(L),
-                    "F": ms.upper_length,
-                    "lambda": ms.scale,
-                    "offset": ms.offset,
-                    "mu1_residual": abs(mu1),
-                }
-            )
-        payload = {
-            "slab": [slab.h_minus, slab.h_plus],
-            "sweep": {"start": lo, "stop": hi, "count": count},
-            "l_crit": thresholds.l_crit(slab),
-            "table": rows,
-            "grid": {"mesh": mesh},
-            "tolerances": {"marginality": 1e-4},
-        }
-        return payload, rows
-
-    doc = _load_input(config)
+def _run_threshold(doc, *, tangential_rtol):
     _require_keys(doc, {"lower_length", "upper_length", "slab"}, "threshold input")
     try:
         lower = float(doc["lower_length"])
@@ -371,38 +307,36 @@ def _run_threshold(config: RunConfig):
     return payload, None
 
 
-def _run_annulus(config: RunConfig):
-    levels = config.knob("grid", "levels")
-    n_theta = config.knob("grid", "n_theta")
-    quadrature_rtol = config.knob("tol", "quadrature_rtol")
+def _run_threshold_sweep(sweep, doc, *, mesh):
+    _require_keys(doc, {"slab"}, "threshold input")
+    slab = _parse_slab(doc)
+    lo, hi, count = sweep
+    rows = []
+    for L in np.linspace(lo, hi, count):
+        ms = thresholds.ms_piece_for_lower_length(float(L), slab)
+        unit = ms.unit_piece()
+        mu1 = stability.lowest_jacobi_eigenvalue(unit, mesh=mesh).lowest_eigenvalue
+        rows.append(
+            {
+                "L_minus": float(L),
+                "F": ms.upper_length,
+                "lambda": ms.scale,
+                "offset": ms.offset,
+                "mu1_residual": abs(mu1),
+            }
+        )
+    payload = {
+        "slab": [slab.h_minus, slab.h_plus],
+        "sweep": {"start": lo, "stop": hi, "count": count},
+        "l_crit": thresholds.l_crit(slab),
+        "table": rows,
+        "grid": {"mesh": mesh},
+        "tolerances": {"marginality": 1e-4},
+    }
+    return payload, rows
 
-    if "trials" in config.grid:
-        rng = np.random.default_rng(config.seed)
-        rows = []
-        for trial in range(config.grid["trials"]):
-            data = weierstrass.random_annulus_data(rng)
-            profile = weierstrass.level_profile(
-                data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
-            )
-            report = weierstrass.convexity_check(profile)
-            rows.append(
-                {
-                    "trial": trial,
-                    "min_slack": report.min_slack,
-                    "min_slack_geometric": report.min_slack_geometric,
-                    "equality": int(report.equality_flag),
-                }
-            )
-        payload = {
-            "seed": config.seed,
-            "trials": config.grid["trials"],
-            "table": rows,
-            "summary": {"worst_min_slack": min(r["min_slack"] for r in rows)},
-            "tolerances": {"slack_floor": -1e-7},
-        }
-        return payload, rows
 
-    doc = _load_input(config)
+def _run_annulus(doc, *, quadrature_rtol, levels, n_theta):
     data = weierstrass.from_json(json.dumps(doc))
     val = weierstrass.validate(data)
     profile = weierstrass.level_profile(
@@ -441,29 +375,58 @@ def _run_annulus(config: RunConfig):
     return payload, rows
 
 
-def _run_oval(config: RunConfig):
-    doc = _load_input(config)
+def _run_annulus_trials(seed, *, quadrature_rtol, levels, n_theta, trials):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for trial in range(trials):
+        data = weierstrass.random_annulus_data(rng)
+        profile = weierstrass.level_profile(
+            data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
+        )
+        report = weierstrass.convexity_check(profile)
+        rows.append(
+            {
+                "trial": trial,
+                "min_slack": report.min_slack,
+                "min_slack_geometric": report.min_slack_geometric,
+                "equality": int(report.equality_flag),
+            }
+        )
+    payload = {
+        "seed": seed,
+        "trials": trials,
+        "table": rows,
+        "summary": {"worst_min_slack": min(r["min_slack"] for r in rows)},
+        "tolerances": {"slack_floor": -1e-7},
+    }
+    return payload, rows
+
+
+def _run_oval(doc, *, rtol):
     _require_keys(doc, {"points", "ellipse", "circle", "n"}, "oval input")
-    n = doc.get("n", config.knob("grid", "n"))
-    n_max = _KNOBS["oval"]["grid"]["n"][2]
-    if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= n_max):
-        raise DataInvalidError(f"'n' must be a whole number <= {n_max}, got {n!r}")
+    if "points" in doc and "n" in doc:
+        raise DataInvalidError("'n' samples an ellipse or a circle; 'points' take none")
+    n = doc.get("n", _OVAL_N[0])
+    if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= _OVAL_N[1]):
+        raise DataInvalidError(f"'n' must be a whole number <= {_OVAL_N[1]}, got {n!r}")
     n = int(n)
-    try:
-        if "points" in doc:
-            curve = ovals.ClosedCurve(np.asarray(doc["points"], dtype=float))
-        elif "ellipse" in doc:
-            a, b = (float(v) for v in doc["ellipse"])
-            curve = ovals.ClosedCurve.ellipse(a, b, n)
-        elif "circle" in doc:
-            (r,) = (float(v) for v in doc["circle"])
-            curve = ovals.ClosedCurve.circle(r, n)
-        else:
-            raise DataInvalidError("oval input needs 'points', 'ellipse' or 'circle'")
-    except (TypeError, ValueError) as exc:
-        raise DataInvalidError(f"bad curve input: {exc}") from exc
-    rtol = config.knob("tol", "rtol")
-    spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
+    # |c'|^2 overflows on curves larger than about 1e153: run() reports the
+    # FloatingPointError as a numerical failure instead of a RuntimeWarning
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            if "points" in doc:
+                curve = ovals.ClosedCurve(np.asarray(doc["points"], dtype=float))
+            elif "ellipse" in doc:
+                a, b = (float(v) for v in doc["ellipse"])
+                curve = ovals.ClosedCurve.ellipse(a, b, n)
+            elif "circle" in doc:
+                (r,) = (float(v) for v in doc["circle"])
+                curve = ovals.ClosedCurve.circle(r, n)
+            else:
+                raise DataInvalidError("oval input needs 'points', 'ellipse' or 'circle'")
+        except (TypeError, ValueError) as exc:
+            raise DataInvalidError(f"bad curve input: {exc}") from exc
+        spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
     payload = {
         "length": spectrum.length,
         "lambda1": spectrum.lambda1,
@@ -475,14 +438,39 @@ def _run_oval(config: RunConfig):
     return payload, None
 
 
-_HANDLERS = {
-    "lambda0": _run_lambda0,
-    "catenoid": _run_catenoid,
-    "ms": _run_ms,
-    "threshold": _run_threshold,
-    "annulus": _run_annulus,
-    "oval": _run_oval,
+# One row per mode: its handler; the flags it takes besides --output, --format,
+# --tol and --grid, in the handler's positional order, each with the value
+# the handler gets when it is not given (None: the flag is required); and its
+# --tol and --grid keys, which the handler takes by keyword, each (default,
+# minimum, maximum).  A tolerance may be any positive finite float.  At the
+# grid maxima the largest run peaks near 400 MiB (annulus levels x n_theta,
+# catenoid n_height x n_theta).
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
+_ANNULUS_TOL = {"quadrature_rtol": (1e-8, *_POSITIVE)}
+_ANNULUS_GRID = {"levels": (33, 5, 513), "n_theta": (512, 8, 2048)}
+_KNOBS = {
+    "lambda0": {"run": _run_lambda0, "flags": {}, "tol": {}, "grid": {}},
+    "catenoid": {"run": _run_catenoid, "flags": {"--input": None},
+                 "tol": {"area_rtol": (1e-8, *_POSITIVE)},
+                 "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)}},
+    "ms": {"run": _run_ms, "flags": {"--input": None}, "tol": {},
+           "grid": {"mesh": (4096, 16, 1 << 20)}},
+    "threshold": {"run": _run_threshold, "flags": {"--input": None},
+                  "tol": {"tangential_rtol": (1e-6, *_POSITIVE)}, "grid": {}},
+    # without --input the sweep is over the unit slab [-1, 1]
+    "threshold --sweep": {"run": _run_threshold_sweep, "flags": {"--sweep": None, "--input": {}},
+                          "tol": {}, "grid": {"mesh": (1024, 16, 1 << 20)}},
+    "annulus": {"run": _run_annulus, "flags": {"--input": None},
+                "tol": _ANNULUS_TOL, "grid": _ANNULUS_GRID},
+    # giving trials selects this mode, so its default is never read
+    "annulus trials": {"run": _run_annulus_trials, "flags": {"--seed": 0},
+                       "tol": _ANNULUS_TOL, "grid": {**_ANNULUS_GRID, "trials": (1, 1, 10_000)}},
+    "oval": {"run": _run_oval, "flags": {"--input": None},
+             "tol": {"rtol": (1e-8, *_POSITIVE)}, "grid": {}},
 }
+# argparse settings of the flags that only some modes take (dest: RunConfig field)
+_FLAGS = {"--input": {"dest": "input_path"}, "--seed": {"dest": "seed", "type": int},
+          "--sweep": {"dest": "sweep", "metavar": "A:B:N"}}
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +511,16 @@ def build_config(argv) -> RunConfig:
         "eigenvalue functional",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, knobs in _KNOBS.items():
-        p = sub.add_parser(name)
+    flags_of: dict[str, dict] = {}  # per command: the flags of all its modes
+    for mode, row in _KNOBS.items():
+        flags_of.setdefault(mode.split()[0], {}).update(row["flags"])
+    for command, flags in flags_of.items():
+        p = sub.add_parser(command)
         p.add_argument("--output", dest="output_path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", action="append", metavar="KEY=VAL")
         p.add_argument("--grid", action="append", metavar="KEY=VAL")
-        for flag in knobs["flags"]:
+        for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     ns = vars(parser.parse_args(argv))
     return RunConfig(
@@ -537,19 +528,37 @@ def build_config(argv) -> RunConfig:
         input_path=ns.get("input_path"),
         output_path=ns["output_path"],
         format=ns["format"],
-        seed=ns.get("seed", 0),
+        seed=ns.get("seed"),
         tolerances=_parse_keyval(ns["tol"], float, "--tol"),
         grid=_parse_keyval(ns["grid"], int, "--grid"),
-        sweep=_parse_sweep(ns["sweep"]) if ns.get("sweep") else None,
+        sweep=_parse_sweep(ns["sweep"]) if ns.get("sweep") is not None else None,
     )
+
+
+def _arguments(config: RunConfig) -> tuple[list, dict]:
+    """The mode handler's arguments: each flag of its row, given or defaulted
+    (--input as the document it names), and each --tol and --grid key."""
+    row = _KNOBS[config.mode]
+    args = []
+    for flag, default in row["flags"].items():
+        value = getattr(config, _FLAGS[flag]["dest"])
+        if value is None and default is None:
+            raise DataInvalidError(f"{config.mode} requires {flag}")
+        if flag == "--input" and value is not None:
+            value = _load_input(value)
+        args.append(default if value is None else value)
+    knobs = {key: config.tolerances.get(key, spec[0]) for key, spec in row["tol"].items()}
+    knobs.update({key: config.grid.get(key, spec[0]) for key, spec in row["grid"].items()})
+    return args, knobs
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     try:
-        payload, rows = _HANDLERS[config.command](config)
+        args, knobs = _arguments(config)
+        payload, rows = _KNOBS[config.mode]["run"](*args, **knobs)
         text = _render(payload, rows, config.format)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         residuals = _strict(_round15(getattr(exc, "residuals", {})))
         dump = {"error": str(exc), "residuals": residuals}
         print(json.dumps(dump, sort_keys=True, allow_nan=False), file=sys.stderr)

@@ -208,22 +208,6 @@ def vertical_flux(scale: float) -> float:
     return TWO_PI * scale
 
 
-def ms_indicator(height) -> float | np.ndarray:
-    """1 - h*tanh(h): positive strictly inside the maximally symmetric
-    marginally stable piece of the unit catenoid, zero on its boundary."""
-    h = np.asarray(height, dtype=float)
-    out = 1.0 - h * np.tanh(h)
-    return float(out) if out.ndim == 0 else out
-
-
-@functools.lru_cache(maxsize=None)
-def ms_indicator_zero() -> float:
-    """Positive root of h*tanh(h) = 1 (boundary height of the symmetric piece)."""
-    f = lambda h: h * math.tanh(h) - 1.0
-    fp = lambda h: math.tanh(h) + h / math.cosh(h) ** 2
-    return bracketed_root(f, 0.5, 2.0, fp, residual_tol=1e-14)
-
-
 @functools.lru_cache(maxsize=None)
 def solve_lambda0() -> float:
     """Unique scale in (0, 1) with 2*lam/(1 - lam^2) = sinh(2/lam).

@@ -173,11 +173,15 @@ def spanning_catenoids(
         return log_lower - _log_cosh(t) + _log_cosh(t + slab.height * inv_lam) - log_upper
 
     t_fold = (slab.h_minus - ms.offset) / ms.scale
+    # f is a difference of terms near |t| and |t| + H/lam, so its evaluation
+    # noise grows with |t_fold| and with the slope 1 + H/lam at the fold
+    residual_tol = max(1e-12, 1e-14 * max(1.0, abs(t_fold)) * (1.0 + slab.height / ms.scale))
+    # past |t| = 709 + log L_minus, 1/lam has overflowed and f is +inf
+    reach = 709.0 + max(0.0, log_lower) + abs(t_fold)
     parameters: list[tuple[float, float]] = []
     for side in (-1.0, 1.0):
-        # 1/lam has overflowed by d = 1024, so f(t_fold +- 1024) is +inf
         d = 1.0
-        while not f(t_fold + side * d) > 0.0 and d < 1e3:
+        while not f(t_fold + side * d) > 0.0 and d < reach:
             d *= 2.0
         edge = t_fold + side * d
         if not f(t_fold) < 0.0 < f(edge):  # NaN, or upper within round-off of F
@@ -185,8 +189,11 @@ def spanning_catenoids(
                 "failed to bracket a spanning solution",
                 {"upper_length": upper_length, "threshold_upper": threshold, "edge": edge},
             )
-        t = bracketed_root(f, min(t_fold, edge), max(t_fold, edge))
-        lam = lower_length / (TWO_PI * math.cosh(t))
+        t = bracketed_root(f, min(t_fold, edge), max(t_fold, edge), residual_tol=residual_tol)
+        if abs(t) < 700.0:
+            lam = lower_length / (TWO_PI * math.cosh(t))
+        else:  # cosh(t) overflows past 710
+            lam = math.exp(log_lower - math.log(TWO_PI) - _log_cosh(t))
         parameters.append((lam, slab.h_minus - lam * t))
     parameters.sort()
 

@@ -7,13 +7,16 @@ collocation on uniform-arclength samples (made by ``resample_arclength``, the
 one resampler, which the package's Galerkin solver does not need), solution
 counts from sign-change cells of a dense residual grid, Laurent series from
 one complex power per term, level-length derivatives from 5-point stencils,
-Weierstrass flux vectors from loop integrals of directly evaluated g and h.
+Weierstrass flux vectors from loop integrals of directly evaluated g and h,
+the symmetric marginal piece's ends from Brent's method on h tanh h = 1.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
@@ -62,6 +65,21 @@ def boundary_arclength(piece: CatenoidPiece, n: int = 512):
     return circle_arclength(piece, piece.slab.h_minus, n) + circle_arclength(
         piece, piece.slab.h_plus, n
     )
+
+
+def ms_indicator(height):
+    """1 - h*tanh(h), the dilation Jacobi field about the origin: positive
+    strictly inside the symmetric marginally stable piece, zero on its ends."""
+    h = np.asarray(height, dtype=float)
+    out = 1.0 - h * np.tanh(h)
+    return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=None)
+def ms_indicator_zero() -> float:
+    """Positive root of h*tanh(h) = 1 (the symmetric piece's upper end), by
+    Brent's method rather than the package's tangency solver."""
+    return brentq(lambda h: h * math.tanh(h) - 1.0, 0.5, 2.0, xtol=1e-15, rtol=8.9e-16)
 
 
 def cone_separation(apex_height: float, t_tangent: float, n: int = 4001):

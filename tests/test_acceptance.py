@@ -69,7 +69,7 @@ def test_criterion_3_marginal_stability():
         res = st_mod.lowest_jacobi_eigenvalue(piece, mesh=4096)
         assert abs(res.lowest_eigenvalue) <= 1e-6
 
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         smaller = CatenoidPiece(1.0, 0.0, Slab(-0.9 * t_star, 0.9 * t_star))
         larger = CatenoidPiece(1.0, 0.0, Slab(-1.1 * t_star, 1.1 * t_star))
         assert st_mod.lowest_jacobi_eigenvalue(smaller, 1024).lowest_eigenvalue > 0
@@ -212,11 +212,15 @@ def test_criterion_9_infrastructure(tmp_path, capsys):
         data_file = tmp_path / "data.json"
         data_file.write_text(wz.to_json(cat))
 
-        # byte-identical output for identical config + seed
-        out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert cli.main(["annulus", "--input", str(data_file), "--output", out_a, "--seed", "3"]) == 0
-        assert cli.main(["annulus", "--input", str(data_file), "--output", out_b, "--seed", "3"]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        # byte-identical output for identical config, and for identical seed
+        for args, name in ((["--input", str(data_file)], "doc"),
+                           (["--grid", "trials=2", "--seed", "3"], "trials")):
+            out_a, out_b = str(tmp_path / f"{name}_a.json"), str(tmp_path / f"{name}_b.json")
+            assert cli.main(["annulus", *args, "--output", out_a]) == 0
+            assert cli.main(["annulus", *args, "--output", out_b]) == 0
+            assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        # the document mode reads no seed, so it refuses one
+        assert cli.main(["annulus", "--input", str(data_file), "--seed", "3"]) == 2
 
         # serialization round-trips bit-exactly
         back = wz.from_json(wz.to_json(cat))

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -69,24 +70,67 @@ _DOCUMENTS = {
 }
 
 
-def _run_document(tmp_path_factory, command, document):
-    """(exit code, stdout) of ``command --input`` on the document, run in process."""
-    path = tmp_path_factory.mktemp("doc") / f"{command}.json"
-    path.write_text(json.dumps(document))
+def _run_document(tmp_path_factory, command, document, args=()):
+    """(exit code, stdout) of ``command --input`` on the document (no --input
+    when it is None) and further arguments, run in process."""
+    argv = [command, *args]
+    if document is not None:
+        path = tmp_path_factory.mktemp("doc") / f"{command}.json"
+        path.write_text(json.dumps(document))
+        argv += ["--input", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, "--input", str(path)])
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
-def assert_exits_cleanly_and_repeats(tmp_path_factory, command, document):
+def assert_exits_cleanly_and_repeats(tmp_path_factory, command, document, args=()):
     # runs under the suite's error::RuntimeWarning filter, so an overflow fails it
-    code, out = first = _run_document(tmp_path_factory, command, document)
+    code, out = first = _run_document(tmp_path_factory, command, document, args)
     assert code in (0, 2, 3, 4, 5)
     if out:
         strict_json(out)
     assert (code == 0) == bool(out)
-    assert _run_document(tmp_path_factory, command, document) == first
+    assert _run_document(tmp_path_factory, command, document, args) == first
+
+
+@st.composite
+def sweep_specs(draw):
+    """--sweep A:B:N texts with counts up to 5: three in four well-formed with
+    ends from 1e-2 to 1e5, the rest with ends of either sign from 1e-300 to
+    1e300, zero, non-finite or not numbers, bad counts or a wrong separator."""
+    if draw(st.integers(0, 3)):
+        lower = 10.0 ** draw(st.floats(-2.0, 4.0))
+        return f"{lower!r}:{lower * draw(st.floats(1.01, 8.0))!r}:{draw(st.integers(2, 5))}"
+    parts = [str(draw(_numbers())), str(draw(_numbers())), str(draw(st.integers(-1, 5)))]
+    return draw(st.sampled_from([":", ","])).join(parts)
+
+
+@st.composite
+def oval_documents(draw):
+    """Ellipse, circle or smooth point documents with an optional "n" up to
+    1024: three in four well-formed, with aspects up to 2 and sizes from 1e-3
+    to 1e3; the rest with sizes from 1e-300 to 1e300, too few points, lists of
+    the wrong length or arbitrary numbers."""
+    good = draw(st.integers(0, 3)) > 0
+    size = 10.0 ** draw(st.floats(-3.0, 3.0)) if good else draw(_magnitude())
+    kind = draw(st.sampled_from(["ellipse", "circle", "points"]))
+    if kind == "points":
+        count = draw(st.integers(32, 96) if good else st.integers(0, 96))
+        u = 2 * np.pi * np.arange(count) / max(count, 1)
+        wave = draw(st.floats(0.0, 0.3)) * np.cos(draw(st.integers(1, 3)) * u)
+        points = np.stack([(1 + wave) * np.cos(u), np.sin(u), wave], axis=1)
+        value = (size * points).tolist()
+    else:
+        axis = st.floats(0.5, 2.0).map(lambda q: q * size)
+        width = 2 if kind == "ellipse" else 1
+        value = draw(st.lists(axis if good else axis | _numbers(), min_size=width,
+                              max_size=width if good else 3))
+    optional = {"bogus": _numbers(), "n": st.integers(32, 1024) | st.integers(-1, 31)
+                | _numbers()}
+    if good:  # "n" only where it is read, and no unknown key
+        optional = {"n": st.integers(32, 1024)} if kind != "points" else {}
+    return {kind: value, **draw(st.fixed_dictionaries({}, optional=optional))}
 
 
 @st.composite
@@ -106,10 +150,57 @@ def annulus_documents(draw):
             "r_inner": 10.0**lo, "r_outer": 10.0**hi}
 
 
+_CATENOID_DOC = json.loads(wz.to_json(wz.catenoid_data(1.0, 1 / math.e, math.e)))
+# each mode's arguments without knobs or --input
+_PLAIN_RUNS = {
+    "lambda0": ["lambda0"],
+    "catenoid": ["catenoid"],
+    "ms": ["ms"],
+    "threshold": ["threshold"],
+    "threshold --sweep": ["threshold", "--sweep", "1:2:2"],
+    "annulus": ["annulus"],
+    "annulus trials": ["annulus", "--grid", "trials=1"],
+    "oval": ["oval"],
+}
+# the document of each mode's --input
+_MODE_DOCUMENTS = {
+    "catenoid": {"scale": 1.0}, "ms": {"apex_height": 0.5},
+    "threshold": {"lower_length": 11.4, "upper_length": 11.4}, "threshold --sweep": {},
+    "annulus": _CATENOID_DOC, "oval": {"circle": [1]},
+}
+_SELECTORS = {"threshold": "--sweep", "annulus": "trials"}  # they pick the other mode
+
+
+def _outside_knobs(mode, input_path):
+    """Every flag and --tol/--grid key of the table that ``mode`` does not
+    take, each with a value its own row accepts."""
+    row, selector = cli._KNOBS[mode], _SELECTORS.get(mode.split()[0])
+    flag_values = {"--input": input_path, "--seed": "5", "--sweep": "1:2:2"}
+    knobs = [[flag, value] for flag, value in flag_values.items()
+             if flag not in row["flags"] and flag != selector]
+    for kind in ("tol", "grid"):
+        for other in cli._KNOBS.values():
+            for key, (default, _, _) in other[kind].items():
+                if key not in row[kind] and key != selector:
+                    knobs.append([f"--{kind}", f"{key}={default}"])
+    return knobs
+
+
+@pytest.fixture(scope="module")
+def mode_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("modes")
+    paths = {}
+    for mode, document in _MODE_DOCUMENTS.items():
+        paths[mode] = str(directory / f"{mode.replace(' ', '_')}.json")
+        with open(paths[mode], "w") as handle:
+            json.dump(document, handle)
+    return paths
+
+
 @pytest.fixture
 def cat_file(tmp_path):
     path = tmp_path / "cat.json"
-    path.write_text(wz.to_json(wz.catenoid_data(1.0, 1 / math.e, math.e)))
+    path.write_text(json.dumps(_CATENOID_DOC))
     return str(path)
 
 
@@ -246,6 +337,13 @@ class TestThresholdCommand:
     def test_any_document_exits_cleanly(self, tmp_path_factory, document):
         assert_exits_cleanly_and_repeats(tmp_path_factory, "threshold", document)
 
+    @given(spec=sweep_specs(), document=st.none() | st.fixed_dictionaries(
+        {}, optional={"slab": _slabs(), "bogus": _numbers()}))
+    def test_any_sweep_exits_cleanly(self, tmp_path_factory, spec, document):
+        assert_exits_cleanly_and_repeats(
+            tmp_path_factory, "threshold", document, ["--sweep=" + spec]
+        )
+
 
 class TestAnnulusCommand:
     def test_report_roundtrip(self, cat_file, capsys):
@@ -354,6 +452,26 @@ class TestOvalCommand:
         assert out == ""
         assert "min kappa^2" in err
 
+    def test_huge_curve_exits_4(self, tmp_path, capsys):
+        # |c'|^2 overflows a double: a numerical failure, never a RuntimeWarning
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"circle": [1e200]}))
+        code, out, err = run_cli(["oval", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        assert "overflow" in strict_json(err)["error"]
+
+    def test_points_take_no_n(self, tmp_path, capsys):
+        u = 2 * np.pi * np.arange(64) / 64
+        pts = np.stack([np.cos(u), np.sin(u), np.zeros(64)], axis=1).tolist()
+        spec = tmp_path / "pts.json"
+        spec.write_text(json.dumps({"points": pts, "n": 64}))
+        code, out, err = run_cli(["oval", "--input", str(spec)], capsys)
+        assert code == 3 and out == "" and "'n'" in err
+
+    @given(document=oval_documents())
+    def test_any_document_exits_cleanly(self, tmp_path_factory, document):
+        assert_exits_cleanly_and_repeats(tmp_path_factory, "oval", document)
+
 
 class TestDeterminismAndOutput:
     def test_byte_identical_files(self, cat_file, tmp_path, capsys):
@@ -411,11 +529,23 @@ class TestExitCodes:
         assert code == 2 and out == "" and "bad configuration" in err
 
     def test_knob_defaults_within_bounds(self):
-        for command, knobs in cli._KNOBS.items():
+        for mode, row in cli._KNOBS.items():
             for kind in ("tol", "grid"):
-                for key, (default, lo, hi) in knobs[kind].items():
-                    if default is not None:  # annulus trials: giving it selects a mode
-                        assert lo <= default <= hi, (command, key)
+                for key, (default, lo, hi) in row[kind].items():
+                    assert lo <= default <= hi, (mode, key)
+
+    def test_every_mode_reads_every_knob(self):
+        # the handler's positional parameters are its row's flags, in order,
+        # and its keyword parameters are exactly the row's --tol and --grid keys
+        parameter_of = {"--input": "doc", "--seed": "seed", "--sweep": "sweep"}
+        for mode, row in cli._KNOBS.items():
+            params = inspect.signature(row["run"]).parameters.values()
+            positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+            keywords = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+            assert len(positional) + len(keywords) == len(params), mode
+            assert positional == [parameter_of[flag] for flag in row["flags"]], mode
+            assert not set(row["tol"]) & set(row["grid"]), mode
+            assert sorted(keywords) == sorted([*row["tol"], *row["grid"]]), mode
 
     @pytest.mark.parametrize(
         "args",
@@ -430,6 +560,33 @@ class TestExitCodes:
     def test_ignored_flag_refused(self, capsys, args):
         code, out, _ = run_cli(args, capsys)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "command, document, plain, knob",
+        [("threshold", {"lower_length": 11.4, "upper_length": 11.4}, [], ["--grid", "mesh=16"]),
+         ("threshold", None, ["--sweep", "1:2:2"], ["--tol", "tangential_rtol=0.5"]),
+         ("annulus", _CATENOID_DOC, [], ["--seed", "5"]),
+         ("oval", {"circle": [1]}, [], ["--grid", "n=256"])],
+        ids=["pair-mesh", "sweep-tangential_rtol", "document-seed", "oval-n"],
+    )
+    def test_knob_outside_mode_refused(self, tmp_path_factory, command, document, plain, knob):
+        # each knob was accepted and then not read by its mode
+        code, out = _run_document(tmp_path_factory, command, document, plain)
+        assert code == 0 and out
+        assert _run_document(tmp_path_factory, command, document, plain + knob) == (2, "")
+
+    @given(data=st.data())
+    def test_any_knob_outside_the_mode_exits_2(self, mode_inputs, data):
+        mode = data.draw(st.sampled_from(sorted(_PLAIN_RUNS)))
+        plain = [*_PLAIN_RUNS[mode]]
+        if "--input" in cli._KNOBS[mode]["flags"]:
+            plain += ["--input", mode_inputs[mode]]
+        cli.build_config(plain)  # a valid configuration without the knob
+        knob = data.draw(st.sampled_from(_outside_knobs(mode, mode_inputs["annulus"])))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(plain + knob)
+        assert (code, out.getvalue()) == (2, "")
 
     def test_period_tolerance_is_fixed(self, tmp_path, capsys):
         # residual 2 pi * 2e-8 in g dh: 2e-8 * F3, above the fixed 1e-8 * F3
@@ -479,16 +636,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_exits_4(self, capsys, monkeypatch, fmt):
         rows = [{"x": 1.0}, {"x": math.nan}]
-        monkeypatch.setitem(cli._HANDLERS, "lambda0", lambda config: ({"table": rows}, rows))
+        monkeypatch.setitem(cli._KNOBS["lambda0"], "run", lambda: ({"table": rows}, rows))
         code, out, err = run_cli(["lambda0", "--format", fmt], capsys)
         assert code == 4 and out == ""
         assert strict_json(err)["residuals"]["table"][1]["x"] == "nan"
 
     def test_non_finite_residual_dump_is_strict(self, capsys, monkeypatch):
-        def fail(config):
+        def fail():
             raise ConvergenceError("diverged", {"residual": math.inf, "trace": [1.0, -math.inf]})
 
-        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        monkeypatch.setitem(cli._KNOBS["lambda0"], "run", fail)
         code, out, err = run_cli(["lambda0"], capsys)
         assert code == 4 and out == ""
         assert strict_json(err)["residuals"] == {"residual": "inf", "trace": [1.0, "-inf"]}
@@ -504,19 +661,19 @@ class TestExitCodes:
         assert "overflows" in strict_json(err)["error"]
 
     def test_linalg_error_exits_4(self, capsys, monkeypatch):
-        def fail(config):
+        def fail():
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        monkeypatch.setitem(cli._KNOBS["lambda0"], "run", fail)
         code, out, err = run_cli(["lambda0"], capsys)
         assert code == 4 and out == ""
         assert strict_json(err) == {"error": "eigenvalues did not converge", "residuals": {}}
 
     def test_memory_error_exits_5(self, capsys, monkeypatch):
-        def fail(config):
+        def fail():
             raise MemoryError("grid of 1e12 points")
 
-        monkeypatch.setitem(cli._HANDLERS, "lambda0", fail)
+        monkeypatch.setitem(cli._KNOBS["lambda0"], "run", fail)
         code, out, err = run_cli(["lambda0"], capsys)
         assert code == 5 and out == ""
         assert strict_json(err) == {"error": "out of memory: grid of 1e12 points"}

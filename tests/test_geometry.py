@@ -191,7 +191,7 @@ class TestLambda0:
 
 class TestMsIndicator:
     def test_center(self):
-        assert geo.ms_indicator(0.0) == 1.0
+        assert orc.ms_indicator(0.0) == 1.0
 
     def test_zero_matches_bisection_oracle(self):
         # oracle: plain bisection on t*tanh(t) = 1
@@ -202,14 +202,14 @@ class TestMsIndicator:
                 lo = mid
             else:
                 hi = mid
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         assert abs(t_star - 0.5 * (lo + hi)) <= 1e-12
-        assert abs(geo.ms_indicator(t_star)) <= 1e-13
+        assert abs(orc.ms_indicator(t_star)) <= 1e-13
         assert t_star == pytest.approx(1.1997, abs=5e-4)
 
     @given(st.floats(-20.0, 20.0))
     def test_even(self, h):
-        assert np.sign(geo.ms_indicator(h)) == np.sign(geo.ms_indicator(-h))
+        assert np.sign(orc.ms_indicator(h)) == np.sign(orc.ms_indicator(-h))
 
 
 class TestHomothetyCovariance:

@@ -15,7 +15,7 @@ from catslab.geometry import CatenoidPiece, Slab
 class TestTangentCones:
     def test_symmetric_apex(self):
         ct = st_mod.tangent_cone_heights(0.0)
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         assert ct.t_plus == pytest.approx(t_star, abs=1e-12)
         assert ct.t_minus == pytest.approx(-t_star, abs=1e-12)
 
@@ -63,7 +63,7 @@ class TestTangentCones:
 class TestCatMs:
     def test_symmetric_piece(self):
         piece = st_mod.cat_ms(0.0)
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         assert piece.scale == 1.0 and piece.offset == 0.0
         assert piece.slab.h_minus == pytest.approx(-t_star, abs=1e-12)
         assert piece.slab.h_plus == pytest.approx(t_star, abs=1e-12)
@@ -118,14 +118,14 @@ class TestJacobiEigenvalue:
             assert abs(res.lowest_eigenvalue) <= 1e-6
 
     def test_smaller_piece_stable_larger_unstable(self):
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         small = CatenoidPiece(1.0, 0.0, Slab(-0.9 * t_star, 0.9 * t_star))
         large = CatenoidPiece(1.0, 0.0, Slab(-1.1 * t_star, 1.1 * t_star))
         assert st_mod.lowest_jacobi_eigenvalue(small, 2048).lowest_eigenvalue > 0.0
         assert st_mod.lowest_jacobi_eigenvalue(large, 2048).lowest_eigenvalue < 0.0
 
     def test_monotone_in_interval(self):
-        t_star = geo.ms_indicator_zero()
+        t_star = orc.ms_indicator_zero()
         values = []
         for factor in (0.7, 0.9, 1.0, 1.1, 1.3):
             piece = CatenoidPiece(1.0, 0.0, Slab(-factor * t_star, factor * t_star))

@@ -191,6 +191,22 @@ class TestSpanning:
         t_min = brentq(dlog_upper, lo, hi, xtol=1e-15)
         assert abs(t_min - t_fold) <= 1e-10
 
+    def test_two_solutions_for_huge_lower_lengths(self):
+        # L_minus = 1e0 ... 1e299: the solutions' lower heights reach |t| ~ 690,
+        # where f's evaluation noise exceeds 1e-12 and cosh(t) overflows
+        solved = 0
+        for exponent in range(300):
+            L = 10.0**exponent
+            F = th.f_omega(L, CANON)
+            for upper in (1.01 * F, 2.0 * F, 2.0 * L, min(1e10 * L, 1e300)):
+                if upper <= F * (1.0 + 1e-6):  # tangential or below the threshold
+                    continue
+                result = th.spanning_catenoids(L, upper, CANON)
+                assert len(result) == 2, (L, upper)
+                assert result.residuals and max(result.residuals) <= 1e-9, (L, upper)
+                solved += 1
+        assert solved == 1199
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             th.spanning_catenoids(0.0, 1.0, CANON)
