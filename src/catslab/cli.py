@@ -5,11 +5,11 @@ a --sweep, ``annulus`` a Weierstrass document or --grid trials=N random data.
 A mode reads every flag and key of its row and refuses any other.
 
 Exit codes: 0 success, 2 bad configuration (flags, tolerance/grid keys and
-their bounds), 3 bad input data (missing/unparsable/invalid files, non-finite
-numbers), 4 numerical non-convergence, a failed linear-algebra routine, a
-floating-point overflow or a non-finite result (a residual dump goes to
-stderr), 5 out of memory.  Stdout and the stderr dumps are strict JSON: no NaN
-or Infinity.
+their bounds), 3 bad input data (missing/unparsable/invalid files, a document
+value that is not a finite number), 4 numerical non-convergence, a failed
+linear-algebra routine, a floating-point overflow or a non-finite result (a
+residual dump goes to stderr), 5 out of memory.  Stdout and the stderr dumps
+are strict JSON: no NaN or Infinity.
 
 Numbers are emitted with 15 significant digits; output for a fixed
 configuration and seed is byte-identical.  JSON is the canonical format and
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, ovals, stability, thresholds, weierstrass
-from .errors import ConvergenceError, DataInvalidError
+from .errors import ConvergenceError, DataInvalidError, check_numbers
 
 _SWEEP_MAX_ROWS = 100_000
 _OVAL_N = (256, 1 << 16)  # an oval document's "n": default and maximum
@@ -85,18 +85,12 @@ def _round15(obj):
     """Recursively re-round floats to 15 significant digits for emission."""
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
-    if isinstance(obj, bool) or isinstance(obj, (int, str)) or obj is None:
+    if isinstance(obj, (int, str)) or obj is None:  # bool is an int
         return obj
     if isinstance(obj, dict):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return _round15(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round15(obj.tolist())
     raise TypeError(f"cannot emit value of type {type(obj)}")
 
 
@@ -172,10 +166,11 @@ def _load_input(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise DataInvalidError(f"cannot read input: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise DataInvalidError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataInvalidError("input must be a JSON object")
+    check_numbers(doc, "input", finite=True)  # every document value is a number
     return doc
 
 

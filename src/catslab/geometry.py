@@ -23,39 +23,24 @@ import numpy as np
 from .rootfind import bracketed_root
 from .spectral import TWO_PI, gauss_legendre, periodic_nodes
 
-# cosh/sinh arguments beyond this switch to explicit exponential forms; plain
-# math.sinh overflows just above 710 and products of large factors lose the
-# chance to cancel before overflowing.
-_EXP_SWITCH = 350.0
 # central-difference step of the quadrature's area element in angle and, times
-# max(1, scale), in height
+# the scale, in height
 _STENCIL_STEP = 1e-5
 
 
+# math.sinh and math.cosh, with a signed infinity where they overflow
 def _sinh(x: float) -> float:
-    if abs(x) < _EXP_SWITCH:
-        return math.sinh(x)
-    sign = math.copysign(1.0, x)
     try:
-        return sign * 0.5 * math.exp(abs(x))
+        return math.sinh(x)
     except OverflowError:
-        return sign * math.inf
+        return math.copysign(math.inf, x)
 
 
 def _cosh(x: float) -> float:
-    if abs(x) < _EXP_SWITCH:
-        return math.cosh(x)
     try:
-        return 0.5 * math.exp(abs(x))
+        return math.cosh(x)
     except OverflowError:
         return math.inf
-
-
-def _cosh_times_sinh(a: float, b: float) -> float:
-    """cosh(a)*sinh(b) via 0.5*(sinh(b+a) + sinh(b-a)) for large arguments."""
-    if abs(a) + abs(b) < _EXP_SWITCH:
-        return math.cosh(a) * math.sinh(b)
-    return 0.5 * (_sinh(b + a) + _sinh(b - a))
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,7 @@ def area_in_slab(piece: CatenoidPiece) -> float:
     """
     canonical, c, _ = reduce_to_canonical(piece)
     lam, t = canonical.scale, canonical.offset
-    area = math.pi * lam * lam * _cosh_times_sinh(2.0 * t / lam, 2.0 / lam) + TWO_PI * lam
+    area = math.pi * lam * lam * (_cosh(2.0 * t / lam) * _sinh(2.0 / lam)) + TWO_PI * lam
     return c * c * area
 
 
@@ -165,7 +150,7 @@ def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 
     # heights as a column and angles as a row: parameterize broadcasts them,
     # so each cosh is taken once per height and each cos/sin once per angle
     hh, tt = hs[:, None], thetas[None, :]
-    dh = _STENCIL_STEP * max(1.0, piece.scale)
+    dh = _STENCIL_STEP * piece.scale
     # keep the height stencil inside the closed slab
     hh_p = np.minimum(hh + dh, b)
     hh_m = np.maximum(hh - dh, a)

@@ -109,10 +109,7 @@ def _check_piece(piece: CatenoidPiece):
 
 
 def lowest_jacobi_eigenvalue(
-    piece: CatenoidPiece,
-    mesh: int = 4096,
-    method: str = "fd",
-    angular_mode: int = 0,
+    piece: CatenoidPiece, mesh: int = 4096, method: str = "fd"
 ) -> JacobiSpectrumResult:
     """Lowest Dirichlet eigenvalue of the Jacobi operator on a clipped unit catenoid.
 
@@ -120,9 +117,8 @@ def lowest_jacobi_eigenvalue(
     problem on ``mesh`` uniform cells (O(h^2) accurate; about 7e-8 on the
     marginal piece at mesh 4096).  The eigenfunction is returned on all mesh
     nodes, scaled to max |u| = 1, positive near the lower end and zero at both
-    ends by construction.  ``angular_mode=k`` adds the k^2 angular potential
-    (higher modes are strictly more stable).  Raises ConvergenceError when the
-    cosh^2 weight overflows a double on the slab (|s| beyond about 355).
+    ends by construction.  Raises ConvergenceError when the cosh^2 weight
+    overflows a double on the slab (|s| beyond about 355).
     """
     _check_piece(piece)
     if mesh < 16:
@@ -131,7 +127,6 @@ def lowest_jacobi_eigenvalue(
     if method != "fd":
         raise ValueError(f"unknown method {method!r}: only 'fd' is available")
     a, b = piece.slab.h_minus, piece.slab.h_plus
-    k2 = float(angular_mode * angular_mode)
 
     nodes = np.linspace(a, b, mesh + 1)
     s = nodes[1:-1]
@@ -146,8 +141,7 @@ def lowest_jacobi_eigenvalue(
         )
     # beyond |s| ~ 177 the product overflows although both factors are finite
     root = np.where(np.isfinite(root), root, np.sqrt(w[:-1]) * np.sqrt(w[1:]))
-    q = k2 - 2.0 / w
-    d = (2.0 / h**2 + q) / w
+    d = (2.0 / h**2 - 2.0 / w) / w
     e = (-1.0 / h**2) / root
     from scipy.linalg import eigh_tridiagonal  # about 0.3 s; loaded on the first solve
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import DataInvalidError, ResolutionError
+from .errors import DataInvalidError, ResolutionError, check_numbers
 from .geometry import CatenoidPiece, Slab
 from .rootfind import bracketed_root
 from .spectral import TWO_PI, cumulative_integral, fourier_derivative, gauss_legendre
@@ -163,6 +163,8 @@ def from_json(text: str) -> WeierstrassData:
     unknown = set(doc) - allowed
     if unknown:
         raise DataInvalidError(f"unknown keys in Weierstrass document: {sorted(unknown)}")
+    # values are checked by the rules that follow, so that each names its fault
+    check_numbers(doc, "document", finite=False)
     if doc.get("version") != _SCHEMA_VERSION:
         raise DataInvalidError(f"unsupported document version {doc.get('version')!r}")
     try:
@@ -170,7 +172,7 @@ def from_json(text: str) -> WeierstrassData:
         if len(g) != len(doc["g"]) or len(h) != len(doc["h"]):
             raise DataInvalidError("repeated power in a coefficient table")
         return WeierstrassData(g, h, float(doc["r_inner"]), float(doc["r_outer"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataInvalidError(f"malformed Weierstrass document: {exc}") from exc
 
 
@@ -450,40 +452,40 @@ class LevelProfile:
             raise DataInvalidError("level lengths must be positive")
         if np.any(np.diff(self.log_radii) <= 0.0):
             raise DataInvalidError("levels must be strictly increasing")
-        # discrete convexity guard (the strong convexity makes these strongly positive)
+        # discrete convexity guard: L'' from divided differences in t, so a
+        # skipped level leaves it valid (strong convexity makes it >= L > 0)
         if self.lengths.size >= 3:
-            d2 = self.lengths[:-2] - 2.0 * self.lengths[1:-1] + self.lengths[2:]
+            slopes = np.diff(self.lengths) / np.diff(self.log_radii)
+            d2 = 2.0 * np.diff(slopes) / (self.log_radii[2:] - self.log_radii[:-2])
             if d2.min() < -1e-9 * self.lengths.max():
                 raise DataInvalidError("level-length profile is not convex")
 
 
 def level_profile(
-    data: WeierstrassData,
-    num_levels: int = 33,
-    *,
-    n_theta: int = 512,
-    quadrature_rtol: float = 1e-8,
-    min_modulus_rel: float = 1e-9,
+    data: WeierstrassData, levels: int = 33, *, n_theta: int = 512, quadrature_rtol: float = 1e-8
 ) -> LevelProfile:
     """Level-length profile L(t) with the exact circle integral for L''(t)
     (module docstring) at every level, edges included.
 
-    Levels where z*g*h or z*h/g comes within ``min_modulus_rel`` of vanishing
-    are skipped and recorded (L'' is continuous across such circles but the
-    integrand loses smoothness, so nothing is extrapolated through them).
+    Levels where |z*g*h| or |z*h/g| falls below 1e-9 of the largest speed on
+    the grid are skipped and recorded (L'' is continuous across such circles
+    but the integrand loses smoothness, so nothing is extrapolated through
+    them).
     Quadrature is accepted only if doubling the ``n_theta`` angles moves no
     length by more than ``quadrature_rtol`` relatively.  One grid at the
     doubled count is evaluated; its even nodes are the ``n_theta`` grid.
     """
-    if num_levels < 5:
+    if levels < 5:
         raise ValueError("need at least 5 levels")
     val = validate(data)
-    ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), num_levels)
-    a, b, lengths, _, second = _level_lengths(ts, *_level_values(data, ts, 2 * n_theta))
+    ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), levels)
+    # in two halves of the levels: half the peak heap, which glibc grew and trimmed each call
+    rows = [_level_lengths(t, *_level_values(data, t, 2 * n_theta)) for t in np.array_split(ts, 2)]
+    a, b, lengths, _, second = (np.concatenate(parts) for parts in zip(*rows))
 
     a, b = a[:, ::2], b[:, ::2]  # the n_theta-angle grid
     scale = max(a.max(), b.max())
-    keep = (a.min(axis=1) > min_modulus_rel * scale) & (b.min(axis=1) > min_modulus_rel * scale)
+    keep = (a.min(axis=1) > 1e-9 * scale) & (b.min(axis=1) > 1e-9 * scale)
     skipped = [int(i) for i in np.nonzero(~keep)[0]]
     ts_kept, lengths, second = ts[keep], lengths[keep], second[keep]
     if ts_kept.size < 5:
@@ -530,21 +532,22 @@ class CircleMeanReport:
     slack: float
 
 
-def cpx_inequality_check(F_coeffs: dict, rho: float, *, n: int = 2048) -> CircleMeanReport:
+def cpx_inequality_check(F_coeffs: dict, rho: float) -> CircleMeanReport:
     """Circle-mean inequality for a holomorphic Laurent polynomial F with zero
     constant term and no zeros on |z| = rho:
 
         Int rho^2 |F'|^2/|F| |dz/z|  >=  Int |F| |dz/z|,
 
     with equality exactly for F = a*z and F = a/z.  (|F'|^2/|F| is the
-    Laplacian of |F| for holomorphic nonvanishing F.)  A circle where |F|
-    falls below 1e-6 of its maximum is refused.
+    Laplacian of |F| for holomorphic nonvanishing F.)  Both sides are periodic
+    trapezoid sums on 2048 angles.  A circle where |F| falls below 1e-6 of its
+    maximum is refused.
     """
     coeffs = {int(p): complex(c) for p, c in F_coeffs.items()}
     scale = max(abs(c) for c in coeffs.values())
     if abs(coeffs.get(0, 0.0)) > 1e-15 * scale:
         raise ValueError("constant Laurent coefficient of F must vanish")
-    Fv, zFpv = (v[0] for v in _on_circles([coeffs, _z_derivative(coeffs)], [math.log(rho)], n))
+    Fv, zFpv = (v[0] for v in _on_circles([coeffs, _z_derivative(coeffs)], [math.log(rho)], 2048))
     if np.abs(Fv).min() < 1e-6 * np.abs(Fv).max():
         raise ValueError("F vanishes (or nearly) on the circle")
     lhs = float(periodic_integral(np.abs(zFpv) ** 2 / np.abs(Fv)))
@@ -733,18 +736,19 @@ class AreaReport:
     level_gap_min: float
 
 
-def area_comparison(data: WeierstrassData, slab: Slab, *, num_levels: int = 65) -> AreaReport:
+def area_comparison(data: WeierstrassData, slab: Slab) -> AreaReport:
     """Area of the annulus over a slab against the flux-matched catenoid.
 
     Heights are the conformal-gauge heights mu * log|z| (exactly the ambient
     heights for vertical-gauge and catenoid data).  The comparison catenoid has
     scale mu = F3/(2*pi) and neck at the height minimizing the level-length
     profile over the slab; its clipped area comes from the closed form in
-    ``geometry``.  L'' >= L > 0 makes L' strictly increasing, so that neck is
-    an end of the range or the one root of L', bracketed by the signs of L' on
-    the ``num_levels`` levels.  Also reports the worst per-level length gap
-    against the catenoid profile.  Areas and lengths use 512 angles, and the
-    area a 96-point Gauss rule in height.
+    ``geometry``.  One grid of 512-angle circles serves the annulus side: the
+    96 Gauss-Legendre levels of the area rule in height, plus the two slab
+    ends they exclude.  L'' >= L > 0 makes L' strictly increasing, so the neck
+    is an end of the range or the one root of L', bracketed by the signs of L'
+    on those levels, which also give the worst per-level length gap against
+    the catenoid profile.
     """
     n_theta = 512
     val = validate(data)
@@ -758,34 +762,33 @@ def area_comparison(data: WeierstrassData, slab: Slab, *, num_levels: int = 65) 
     ta, tb = slab.h_minus / mu, slab.h_plus / mu
 
     tq, wq = gauss_legendre(96, ta, tb)
-    gv, hv = _on_circles([data.g_coeffs, data.h_coeffs], tq, n_theta)
-    speed_1, speed_2 = _speeds(tq, gv, hv)
-    lam_w = 0.5 * (speed_1 + speed_2)
+    a, b, lengths, slopes, _ = _level_lengths(tq, *_level_values(data, tq, n_theta))
+    lam_w = 0.5 * (a + b)
     area_sigma = float((wq * (lam_w**2).mean(axis=1) * TWO_PI).sum())
 
-    levels = np.linspace(ta, tb, num_levels)
-    _, _, L_sigma, slope, _ = _level_lengths(levels, *_level_values(data, levels, n_theta))
-    if slope[0] >= 0.0:
+    # single circles, cached, in u = t - ta (necks sit near t = 0, where a relative
+    # stopping test fails): the root solve, and the slab ends the Gauss nodes exclude
+    at = functools.lru_cache(maxsize=None)(
+        lambda u: _level_lengths(ta + u, *_level_values(data, ta + u, n_theta))
+    )
+    ts = np.concatenate(([ta], tq, [tb]))
+    lengths = np.concatenate((at(0.0)[2], lengths, at(tb - ta)[2]))
+    slopes = np.concatenate((at(0.0)[3], slopes, at(tb - ta)[3]))
+    if slopes[0] >= 0.0:
         t0 = ta
-    elif slope[-1] <= 0.0:
+    elif slopes[-1] <= 0.0:
         t0 = tb
     else:
-        j = int(np.argmax(slope > 0.0))
-        # solved for u = t - ta: necks sit near t = 0, where a relative stopping test fails
-        at = functools.lru_cache(maxsize=None)(
-            lambda u: _level_lengths(ta + u, *_level_values(data, ta + u, n_theta))
-        )
+        j = int(np.argmax(slopes > 0.0))
         t0 = ta + bracketed_root(
             lambda u: float(at(u)[3][0]),
-            float(levels[j - 1] - ta),
-            float(levels[j] - ta),
+            float(ts[j - 1] - ta),
+            float(ts[j] - ta),
             lambda u: float(at(u)[4][0]),  # L'' from the grid that gave L'
-            residual_tol=1e-12 * float(L_sigma.max()),
+            residual_tol=1e-12 * float(lengths.max()),
         )
     h0 = mu * t0
     area_cat = geometry.area_in_slab(CatenoidPiece(mu, h0, slab))
-
-    L_cat = TWO_PI * mu * np.cosh(levels - t0)
-    level_gap_min = float((L_sigma - L_cat).min())
+    level_gap_min = float((lengths - TWO_PI * mu * np.cosh(ts - t0)).min())
 
     return AreaReport(area_sigma, area_cat, area_sigma - area_cat, h0, level_gap_min)

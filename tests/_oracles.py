@@ -276,9 +276,10 @@ def spanning_count_grid(lower, upper, slab, n_lam=400, n_c=400):
     return clusters
 
 
-def jacobi_shooting_mu1(a: float, b: float, mesh: int) -> float:
-    """Lowest Dirichlet eigenvalue of -u'' - 2 sech^2(s) u = mu cosh^2(s) u on
-    (a, b) by fixed-step RK4 shooting, independent of the library's FD solve.
+def jacobi_shooting_mu1(a: float, b: float, mesh: int, k: int = 0) -> float:
+    """Lowest Dirichlet eigenvalue of -u'' + (k^2 - 2 sech^2(s)) u = mu cosh^2(s) u
+    on (a, b) by fixed-step RK4 shooting, independent of the library's FD solve;
+    k is the angular mode (k = 0: rotationally symmetric fields).
 
     Integrates u(a) = 0, u'(a) = 1 over ``mesh`` steps, bisects mu on the sign
     structure of the shot solution (an interior zero or a nonpositive endpoint
@@ -289,7 +290,7 @@ def jacobi_shooting_mu1(a: float, b: float, mesh: int) -> float:
     h = (b - a) / mesh
     s_half = np.linspace(a, b, 2 * mesh + 1)
     w_half = np.cosh(s_half) ** 2
-    q_half = -2.0 / w_half
+    q_half = k * k - 2.0 / w_half
 
     def shoot(mu: float):
         coeff = [float(c) for c in (q_half - mu * w_half)]

@@ -3,6 +3,8 @@ import inspect
 import io
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +204,57 @@ def cat_file(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(_CATENOID_DOC))
     return str(path)
+
+
+_BIG = "1" + "0" * 400  # an integer literal beyond the double range
+_WEIERSTRASS = '"g": [[1, 1, 0]], "h": [[-1, 1, 0]], "r_outer": 2'
+
+
+# documents that hold a value other than a finite number: each (command
+# arguments, document text) exits 3 with empty stdout
+_NON_NUMERIC_DOCUMENTS = {
+    "catenoid-big-int": (["catenoid"], f'{{"scale": {_BIG}}}'),
+    "ms-big-int": (["ms"], f'{{"apex_height": {_BIG}}}'),
+    "threshold-big-int": (["threshold"], f'{{"lower_length": {_BIG}, "upper_length": 1}}'),
+    "sweep-big-int-slab": (["threshold", "--sweep", "1:2:2"], f'{{"slab": [0, {_BIG}]}}'),
+    "oval-big-int": (["oval"], f'{{"circle": [{_BIG}]}}'),
+    "annulus-big-int": (["annulus"], f'{{"version": 1, {_WEIERSTRASS}, "r_inner": {_BIG}}}'),
+    "ms-string": (["ms"], '{"apex_height": "0.5"}'),
+    "ms-bool": (["ms"], '{"apex_height": true}'),
+    "ms-nan-token": (["ms"], '{"apex_height": NaN}'),
+    "catenoid-infinity-token": (["catenoid"], '{"scale": Infinity}'),
+    "catenoid-string-slab": (["catenoid"], '{"scale": 1, "slab": "03"}'),
+    "sweep-string-slab": (["threshold", "--sweep", "1:2:2"], '{"slab": "03"}'),
+    "threshold-null": (["threshold"], '{"lower_length": null, "upper_length": 1}'),
+    "oval-string-ellipse": (["oval"], '{"ellipse": "21"}'),
+    "oval-bool-n": (["oval"], '{"ellipse": [2, 1], "n": true}'),
+    "annulus-bool-version": (["annulus"], f'{{"version": true, {_WEIERSTRASS}, "r_inner": 0.5}}'),
+    "annulus-bool-power": (
+        ["annulus"],
+        '{"version": 1, "g": [[true, 1, 0]], "h": [[-1, 1, 0]], "r_inner": 0.5, "r_outer": 2}',
+    ),
+    "annulus-string-radius": (
+        ["annulus"], f'{{"version": 1, {_WEIERSTRASS}, "r_inner": "0.5"}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("args, text", list(_NON_NUMERIC_DOCUMENTS.values()),
+                         ids=list(_NON_NUMERIC_DOCUMENTS))
+def test_non_numeric_document_exits_3(tmp_path, capsys, args, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli([*args, "--input", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert "must hold finite numbers only" in err
+
+
+def test_deeply_nested_document_exits_3(tmp_path, capsys):
+    # nested beyond the JSON decoder's recursion limit, which raised RecursionError
+    path = tmp_path / "doc.json"
+    path.write_text('{"scale": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(["catenoid", "--input", str(path)], capsys)
+    assert code == 3 and out == "" and "not valid JSON" in err
 
 
 class TestLambda0Command:
@@ -546,6 +599,35 @@ class TestExitCodes:
             assert positional == [parameter_of[flag] for flag in row["flags"]], mode
             assert not set(row["tol"]) & set(row["grid"]), mode
             assert sorted(keywords) == sorted([*row["tol"], *row["grid"]]), mode
+
+    def test_readme_table_lists_every_knob(self):
+        # each README row shows exactly its mode's flags, --tol keys and --grid
+        # keys, with each numeric default in brackets; a required flag, the
+        # sweep's optional slab document and the selector trials show none
+        lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| mode | flags | `--tol` | `--grid` |") + 2
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            mode, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+            table[mode.replace("`", "")] = [
+                {name.split()[0]: float(default) if default else None
+                 for name, default in re.findall(r"`([^`]+)`(?:\s*\[([^\]]+)\])?", cell)}
+                for cell in cells
+            ]
+
+        def shown(key, default):
+            numeric = isinstance(default, (int, float)) and key not in _SELECTORS.values()
+            return float(default) if numeric else None
+
+        assert sorted(table) == sorted(cli._KNOBS)
+        for mode, row in cli._KNOBS.items():
+            assert table[mode] == [
+                {flag: shown(flag, default) for flag, default in row["flags"].items()},
+                {key: shown(key, spec[0]) for key, spec in row["tol"].items()},
+                {key: shown(key, spec[0]) for key, spec in row["grid"].items()},
+            ], mode
 
     @pytest.mark.parametrize(
         "args",

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI stdout against recorded golden files.
 
-Every exit-0 configuration of ``test_cli.py`` plus the two threshold sweeps is
-run in-process and its stdout compared with ``tests/golden/<name>.<format>``.
+Every exit-0 configuration of ``test_cli.py``, the two threshold sweeps and the
+CSV projections of the nested lambda0 and catenoid payloads are run in-process
+and their stdout compared with ``tests/golden/<name>.<format>``.
 The oval solver's dense generalized eigensolve runs through BLAS, whose last
 digit depends on its thread count (``oval_ellipse`` prints lambda1 ending in
 ...226 with one thread and ...227 with two), so the oval cases run in a child
@@ -37,7 +38,11 @@ _CIRCLE_POINTS = np.stack([2 * np.cos(_U), 2 * np.sin(_U), np.zeros(64)], axis=1
 # name -> (arguments, input document or None)
 CASES = {
     "lambda0": (["lambda0"], None),
+    "lambda0_csv": (["lambda0", "--format", "csv"], None),
     "catenoid_unit": (["catenoid"], {"scale": 1.0, "offset": 0.0, "slab": [-1, 1]}),
+    "catenoid_unit_csv": (
+        ["catenoid", "--format", "csv"], {"scale": 1.0, "offset": 0.0, "slab": [-1, 1]}
+    ),
     "ms_low_apex": (["ms"], {"apex_height": -11.0}),
     "threshold_spanning": (
         ["threshold"], {"lower_length": 11.4, "upper_length": 11.4, "slab": [-1, 1]}

@@ -242,12 +242,15 @@ class TestLevelProfile:
         assert np.abs(a.lengths - b.lengths).max() <= 1e-10 * a.lengths.max()
 
     def test_near_zero_levels_skipped(self):
-        # z*g*h comes close to vanishing near the outer circle
-        data = wz.WeierstrassData({1: 1.0}, {-1: 1.0, 1: 0.24}, 0.5, 2.0)
+        # h = 1/z + z/r^2 vanishes at z = +-i r, on the circle of level 15 of 21
+        r = math.exp(np.linspace(math.log(0.5), math.log(2.0), 21)[15])
+        data = wz.WeierstrassData({1: 1.0}, {-1: 1.0, 1: 1.0 / r**2}, 0.5, 2.0)
         wz.validate(data)
-        prof = wz.level_profile(data, 21, min_modulus_rel=0.02)
-        assert prof.skipped
+        prof = wz.level_profile(data, 21)
+        assert prof.skipped == [15]
         assert prof.lengths.size + len(prof.skipped) == 21
+        # the profile stays convex across the gap, and L'' >= L on every kept level
+        assert wz.convexity_check(prof).min_slack >= 0.0
 
     def test_resolution_error(self):
         data = wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)
@@ -306,9 +309,13 @@ class TestCircleMeanInequality:
             report = wz.cpx_inequality_check(coeffs, rho)
             accepted += 1
             assert report.slack >= -1e-9
-            oracle = wz.cpx_inequality_check(coeffs, rho, n=4096)
-            assert report.lhs == pytest.approx(oracle.lhs, rel=1e-9)
-            assert report.rhs == pytest.approx(oracle.rhs, rel=1e-9)
+            # both sides on twice the angles, with directly evaluated F and z F'
+            z = rho * np.exp(1j * np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+            F = orc.laurent_direct(coeffs, z)
+            zFp = orc.laurent_direct({p: p * c for p, c in coeffs.items()}, z)
+            assert report.lhs == pytest.approx(TWO_PI * np.mean(np.abs(zFp) ** 2 / np.abs(F)),
+                                               rel=1e-9)
+            assert report.rhs == pytest.approx(TWO_PI * np.mean(np.abs(F)), rel=1e-9)
 
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError):
@@ -376,9 +383,16 @@ class TestAreaComparison:
             assert report.level_gap_min >= -1e-9 * report.area_sigma
 
     def test_level_comparison_everywhere(self, rng):
+        # directly evaluated lengths on 129 levels against the reported catenoid
         data = wz.vertical_annulus_data(rng)
-        report = wz.area_comparison(data, Slab(-0.9, 0.9), num_levels=129)
+        report = wz.area_comparison(data, Slab(-0.9, 0.9))
+        mu = wz.validate(data).mu
+        ts = np.linspace(-0.9 / mu, 0.9 / mu, 129)
+        gap = orc.circle_lengths_direct(data, ts) - TWO_PI * mu * np.cosh(
+            ts - report.neck_height / mu
+        )
         assert report.level_gap_min >= -1e-9 * report.area_sigma
+        assert gap.min() >= -1e-9 * report.area_sigma
 
     def test_cauchy_schwarz_per_level(self, rng):
         # d(area)/dh at each level dominates length^2 / flux
@@ -425,6 +439,19 @@ class TestSerialization:
         doc = json.loads(wz.to_json(cat_data))
         doc["version"] = 99
         with pytest.raises(DataInvalidError):
+            wz.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("version", True, "numbers only"), ("g", [[True, 1.0, 0.0]], "numbers only"),
+         ("r_inner", "0.5", "numbers only"), ("r_outer", None, "numbers only"),
+         ("r_inner", 10**400, "too large"), ("g", [[1, 10**400, 0.0]], "too large")],
+    )
+    def test_non_numeric_values_rejected(self, cat_data, key, value, message):
+        # True was read as 1 and "0.5" as 0.5; the huge integers raised OverflowError
+        doc = json.loads(wz.to_json(cat_data))
+        doc[key] = value
+        with pytest.raises(DataInvalidError, match=message):
             wz.from_json(json.dumps(doc))
 
 
