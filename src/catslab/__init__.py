@@ -28,6 +28,7 @@ from .stability import (
     JacobiSpectrumResult,
     cat_ms,
     dilation_jacobi_field,
+    jacobi_nu1,
     lowest_jacobi_eigenvalue,
     tangent_cone_heights,
 )

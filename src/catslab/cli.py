@@ -244,28 +244,25 @@ def _run_catenoid(doc, *, area_rtol, n_height, n_theta):
     return payload, None
 
 
-def _run_ms(doc, *, mesh):
+def _run_ms(doc):
     _require_keys(doc, {"apex_height"}, "ms input")
     try:
         apex = float(doc["apex_height"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataInvalidError(f"bad ms input: {exc}") from exc
-    ct = stability.tangent_cone_heights(apex)
-    piece = geometry.CatenoidPiece(1.0, 0.0, geometry.Slab(ct.t_minus, ct.t_plus))
-    spectrum = stability.lowest_jacobi_eigenvalue(piece, mesh=mesh)
-    res_plus = abs(ct.t_plus - 1.0 / math.tanh(ct.t_plus) - apex)
-    res_minus = abs(ct.t_minus - 1.0 / math.tanh(ct.t_minus) - apex)
+    piece = stability.cat_ms(apex)
+    t_minus, t_plus = piece.slab.h_minus, piece.slab.h_plus
+    # t - coth(t) - apex is evaluated to about eps * max(1, |apex|)
+    apex_size = max(1.0, abs(apex))
     payload = {
         "apex_height": apex,
-        "t_plus": ct.t_plus,
-        "t_minus": ct.t_minus,
-        "slab": [ct.t_minus, ct.t_plus],
-        "mu1": spectrum.lowest_eigenvalue,
-        "mesh": mesh,
+        "t_plus": t_plus,
+        "t_minus": t_minus,
+        "slab": [t_minus, t_plus],
+        "mu1": stability.jacobi_nu1(piece),
         "residuals": {
-            "tangency_plus": res_plus,
-            "tangency_minus": res_minus,
-            "eigenfunction_endpoint": abs(float(spectrum.eigenfunction_samples[-1])),
+            "tangency_plus": abs(t_plus - 1.0 / math.tanh(t_plus) - apex) / apex_size,
+            "tangency_minus": abs(t_minus - 1.0 / math.tanh(t_minus) - apex) / apex_size,
         },
         "tolerances": {"tangency": 1e-10},
     }
@@ -302,15 +299,14 @@ def _run_threshold(doc, *, tangential_rtol):
     return payload, None
 
 
-def _run_threshold_sweep(sweep, doc, *, mesh):
+def _run_threshold_sweep(sweep, doc):
     _require_keys(doc, {"slab"}, "threshold input")
     slab = _parse_slab(doc)
     lo, hi, count = sweep
     rows = []
     for L in np.linspace(lo, hi, count):
         ms = thresholds.ms_piece_for_lower_length(float(L), slab)
-        unit = ms.unit_piece()
-        mu1 = stability.lowest_jacobi_eigenvalue(unit, mesh=mesh).lowest_eigenvalue
+        mu1 = stability.jacobi_nu1(ms.unit_piece())
         rows.append(
             {
                 "L_minus": float(L),
@@ -325,7 +321,6 @@ def _run_threshold_sweep(sweep, doc, *, mesh):
         "sweep": {"start": lo, "stop": hi, "count": count},
         "l_crit": thresholds.l_crit(slab),
         "table": rows,
-        "grid": {"mesh": mesh},
         "tolerances": {"marginality": 1e-4},
     }
     return payload, rows
@@ -448,13 +443,12 @@ _KNOBS = {
     "catenoid": {"run": _run_catenoid, "flags": {"--input": None},
                  "tol": {"area_rtol": (1e-8, *_POSITIVE)},
                  "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)}},
-    "ms": {"run": _run_ms, "flags": {"--input": None}, "tol": {},
-           "grid": {"mesh": (4096, 16, 1 << 20)}},
+    "ms": {"run": _run_ms, "flags": {"--input": None}, "tol": {}, "grid": {}},
     "threshold": {"run": _run_threshold, "flags": {"--input": None},
                   "tol": {"tangential_rtol": (1e-6, *_POSITIVE)}, "grid": {}},
     # without --input the sweep is over the unit slab [-1, 1]
     "threshold --sweep": {"run": _run_threshold_sweep, "flags": {"--sweep": None, "--input": {}},
-                          "tol": {}, "grid": {"mesh": (1024, 16, 1 << 20)}},
+                          "tol": {}, "grid": {}},
     "annulus": {"run": _run_annulus, "flags": {"--input": None},
                 "tol": _ANNULUS_TOL, "grid": _ANNULUS_GRID},
     # giving trials selects this mode, so its default is never read

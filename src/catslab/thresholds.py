@@ -57,6 +57,12 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
+def _log_length(lam: float, c: float, height: float) -> float:
+    """log(2*pi*lam*cosh((height - c)/lam)), the log length of a boundary
+    circle: thin catenoids have circles whose length overflows a double."""
+    return math.log(TWO_PI * lam) + _log_cosh((height - c) / lam)
+
+
 def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
     """The marginally stable clipped catenoid whose lower boundary circle has the
     given length (unique up to horizontal translation, which is quotiented out).
@@ -152,19 +158,27 @@ def spanning_catenoids(
     each is one bracketed root in the lower circle's unit height t, bracketed
     by doubling outward from the piece's t.  Within ``tangential_rtol`` of the
     threshold the pair is flagged ambiguous and the marginally stable solution
-    is returned.
+    is returned.  The count and the flag compare L_plus with log F, which
+    stays finite where F overflows a double.
     """
     for length in (lower_length, upper_length):
         if not (math.isfinite(length) and length > 0.0):
             raise ValueError(f"boundary lengths must be positive and finite, got {length}")
     ms = ms_piece_for_lower_length(lower_length, slab)
     threshold = ms.upper_length
-    if abs(upper_length - threshold) <= tangential_rtol * threshold:
-        return SpanningResult([(ms.scale, ms.offset)], True, threshold, [0.0])
-    if upper_length < threshold:
-        return SpanningResult([], False, threshold)
-
     log_lower, log_upper = math.log(lower_length), math.log(upper_length)
+
+    def relative_residual(lam: float, c: float) -> float:
+        return max(abs(math.expm1(_log_length(lam, c, slab.h_minus) - log_lower)),
+                   abs(math.expm1(_log_length(lam, c, slab.h_plus) - log_upper)))
+
+    # U/F - 1 from log F: F overflows a double below lower lengths of about 0.0176
+    upper_rel = math.expm1(log_upper - _log_length(ms.scale, ms.offset, slab.h_plus))
+    if abs(upper_rel) <= tangential_rtol:
+        residual = relative_residual(ms.scale, ms.offset)
+        return SpanningResult([(ms.scale, ms.offset)], True, threshold, [residual])
+    if upper_rel < 0.0:
+        return SpanningResult([], False, threshold)
 
     def f(t: float) -> float:
         # log(upper length / L_plus); past overflow 1/lam is inf and so is f
@@ -196,16 +210,5 @@ def spanning_catenoids(
             lam = math.exp(log_lower - math.log(TWO_PI) - _log_cosh(t))
         parameters.append((lam, slab.h_minus - lam * t))
     parameters.sort()
-
-    def relative_residual(lam: float, c: float, height: float, length: float) -> float:
-        # |2*pi*lam*cosh((height - c)/lam) / length - 1| in log form: thin
-        # solutions have boundary circles whose length overflows a double
-        log_ratio = math.log(TWO_PI * lam) + _log_cosh((height - c) / lam) - math.log(length)
-        return abs(math.expm1(log_ratio))
-
-    residuals = [
-        max(relative_residual(lam, c, slab.h_minus, lower_length),
-            relative_residual(lam, c, slab.h_plus, upper_length))
-        for lam, c in parameters
-    ]
+    residuals = [relative_residual(lam, c) for lam, c in parameters]
     return SpanningResult(parameters, False, threshold, residuals)

@@ -2,20 +2,21 @@
 
 Each oracle deliberately avoids the closed forms implemented in the package:
 tangent vectors come from finite differences of the parameterization, lengths
-from discretized line integrals, eigenvalues from monodromy shooting or dense
-collocation on uniform-arclength samples (made by ``resample_arclength``, the
-one resampler, which the package's Galerkin solver does not need), solution
-counts from sign-change cells of a dense residual grid, Laurent series from
-one complex power per term, level-length derivatives from 5-point stencils,
-Weierstrass flux vectors from loop integrals of directly evaluated g and h,
-the symmetric marginal piece's ends from Brent's method on h tanh h = 1.
+from discretized line integrals, eigenvalues from monodromy shooting, a
+tridiagonal finite-difference matrix or dense collocation on uniform-arclength
+samples (made by ``resample_arclength``, the one resampler, which the
+package's Galerkin solver does not need), solution counts from sign-change
+cells of a dense residual grid, Laurent series from one complex power per
+term, level-length derivatives from 5-point stencils, Weierstrass flux
+vectors from loop integrals of directly evaluated g and h, the symmetric
+marginal piece's ends from Brent's method on h tanh h = 1.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.signal import resample as trig_resample
 
@@ -349,6 +350,20 @@ def jacobi_shooting_mu1(a: float, b: float, mesh: int, k: int = 0) -> float:
         if mu0 == mu1:
             break
     return mu1
+
+
+def jacobi_fd_nu1(a: float, b: float, mesh: int) -> float:
+    """Lowest Dirichlet eigenvalue of the unweighted -u'' - 2 sech^2(s) u = nu u
+    on (a, b): the second-order finite-difference matrix on ``mesh`` uniform
+    cells, solved by scipy's symmetric tridiagonal eigensolver.  Independent of
+    the library's closed form; its error is O(h^2) plus round-off of about
+    eps * 4/h^2."""
+    s = np.linspace(a, b, mesh + 1)[1:-1]
+    h = (b - a) / mesh
+    diagonal = 2.0 / h**2 - 2.0 / np.cosh(s) ** 2
+    off = np.full(mesh - 2, -1.0 / h**2)
+    vals = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, 0), eigvals_only=True)
+    return float(vals[0])
 
 
 def laurent_direct(coeffs: dict, z):

@@ -323,12 +323,17 @@ class TestMsCommand:
         assert code == 0
         assert abs(json.loads(out)["mu1"]) <= 1e-6
 
-    def test_weight_overflow_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("apex", [400.0, 1e200, -1e200])
+    def test_extreme_apex_is_marginal(self, tmp_path, capsys, apex):
+        # the piece reaches |s| ~ 401 or ~1e200, where a cosh^2 weight would
+        # overflow; the closed-form check has none
         spec = tmp_path / "ms.json"
-        spec.write_text(json.dumps({"apex_height": 400}))
-        code, out, err = run_cli(["ms", "--input", str(spec)], capsys)
-        assert code == 4 and out == ""
-        assert json.loads(err)["residuals"]["h_plus"] > 355.0
+        spec.write_text(json.dumps({"apex_height": apex}))
+        code, out, _ = run_cli(["ms", "--input", str(spec)], capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert abs(doc["mu1"]) <= 1e-6
+        assert max(doc["residuals"].values()) <= doc["tolerances"]["tangency"]
 
     @given(document=_DOCUMENTS["ms"])
     def test_any_document_exits_cleanly(self, tmp_path_factory, document):
@@ -375,6 +380,15 @@ class TestThresholdCommand:
         code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
         assert code == 3 and out == ""
         assert "finite" in err
+
+    def test_overflowing_threshold_exits_4(self, tmp_path, capsys):
+        # F(0.01) is beyond the double range, which strict JSON cannot hold
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps({"lower_length": 0.01, "upper_length": 1.0}))
+        code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        dump = strict_json(err)
+        assert dump["residuals"]["threshold_upper"] == "inf" and dump["residuals"]["count"] == 0
 
     def test_huge_upper_length_reports_two_solutions(self, tmp_path, capsys):
         # a finite pair whose solutions' upper circles are near the double's limit
@@ -432,6 +446,22 @@ class TestAnnulusCommand:
         assert out1 != out3
         doc = json.loads(out1)
         assert doc["summary"]["worst_min_slack"] >= -1e-7
+
+    @given(trials=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_any_seed_gives_a_convex_table(self, trials, seed):
+        argv = ["annulus", "--grid", f"trials={trials}", "--seed", str(seed)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        doc = strict_json(out.getvalue())
+        assert len(doc["table"]) == trials
+        worst = doc["summary"]["worst_min_slack"]
+        assert worst == min(row["min_slack"] for row in doc["table"])
+        assert worst >= doc["tolerances"]["slack_floor"] == -1e-7
+        rerun = io.StringIO()
+        with contextlib.redirect_stdout(rerun):
+            assert cli.main(argv) == 0
+        assert rerun.getvalue() == out.getvalue()
 
     def test_overflowing_term_refused(self, tmp_path, capsys):
         # 1e-300 z^2000 is about 1e302 on |z| = e and its z-derivative overflows
@@ -564,15 +594,15 @@ class TestExitCodes:
         assert code == 2 and "bad configuration" in err
 
     def test_grid_below_minimum(self, capsys):
-        code, _, err = run_cli(["ms", "--grid", "mesh=8"], capsys)
-        assert code == 2
+        code, _, err = run_cli(["catenoid", "--grid", "n_height=1"], capsys)
+        assert code == 2 and "must be in" in err
 
     @pytest.mark.parametrize(
         "args",
         [["annulus", "--grid", "levels=100000"],
          ["annulus", "--grid", "trials=1000000"],
          ["catenoid", "--grid", "n_theta=1000000"],
-         ["ms", "--grid", "mesh=1000000000"],
+         ["catenoid", "--grid", "n_height=100000"],
          ["oval", "--grid", "n=1000000"],
          ["threshold", "--sweep", "1:2:1000000000"]],
     )
@@ -648,11 +678,15 @@ class TestExitCodes:
         [("threshold", {"lower_length": 11.4, "upper_length": 11.4}, [], ["--grid", "mesh=16"]),
          ("threshold", None, ["--sweep", "1:2:2"], ["--tol", "tangential_rtol=0.5"]),
          ("annulus", _CATENOID_DOC, [], ["--seed", "5"]),
-         ("oval", {"circle": [1]}, [], ["--grid", "n=256"])],
-        ids=["pair-mesh", "sweep-tangential_rtol", "document-seed", "oval-n"],
+         ("oval", {"circle": [1]}, [], ["--grid", "n=256"]),
+         ("ms", {"apex_height": 0.5}, [], ["--grid", "mesh=4096"]),
+         ("threshold", None, ["--sweep", "1:2:2"], ["--grid", "mesh=1024"])],
+        ids=["pair-mesh", "sweep-tangential_rtol", "document-seed", "oval-n", "ms-mesh",
+             "sweep-mesh"],
     )
     def test_knob_outside_mode_refused(self, tmp_path_factory, command, document, plain, knob):
-        # each knob was accepted and then not read by its mode
+        # each knob was once accepted by its mode and is refused now; the
+        # first four were never read, the Jacobi mesh left with the FD solve
         code, out = _run_document(tmp_path_factory, command, document, plain)
         assert code == 0 and out
         assert _run_document(tmp_path_factory, command, document, plain + knob) == (2, "")
@@ -731,16 +765,6 @@ class TestExitCodes:
         code, out, err = run_cli(["lambda0"], capsys)
         assert code == 4 and out == ""
         assert strict_json(err)["residuals"] == {"residual": "inf", "trace": [1.0, "-inf"]}
-
-    @pytest.mark.parametrize("apex", [-1e200, 1e200])
-    def test_extreme_apex_exits_4(self, tmp_path, capsys, apex):
-        # both tangency heights are solved (one near 1e-200, one near 1e200);
-        # the cosh^2 weight of the Jacobi operator then overflows on the slab
-        path = tmp_path / "apex.json"
-        path.write_text(json.dumps({"apex_height": apex}))
-        code, out, err = run_cli(["ms", "--input", str(path)], capsys)
-        assert code == 4 and out == ""
-        assert "overflows" in strict_json(err)["error"]
 
     def test_linalg_error_exits_4(self, capsys, monkeypatch):
         def fail():

@@ -1,9 +1,10 @@
 """scipy stays off the start-up path.
 
-Only the Jacobi solve (``ms``, ``threshold --sweep``) and the oval solve import
-``scipy.linalg``, at their first call, so every other command starts without
-it, and the Weierstrass area comparison finds its neck without scipy.  The pytest process has scipy loaded already, so each check runs in a fresh
-interpreter.
+Only the oval solve imports ``scipy.linalg``, at its first call, so every other
+command starts without it: ``ms`` and ``threshold --sweep`` check their marginal
+pieces in closed form, and the Weierstrass area comparison finds its neck
+without scipy.  The pytest process has scipy loaded already, so each check runs
+in a fresh interpreter.
 """
 
 import json
@@ -85,22 +86,17 @@ def _scipy_modules(args, tmp_path) -> list[str]:
         ["threshold", "--input", "@pair"],
         ["annulus", "--input", "@annulus"],
         ["annulus", "--grid", "trials=1"],
+        ["ms", "--input", "@ms"],
+        ["threshold", "--sweep", "1:2:2"],
     ],
-    ids=["import", "lambda0", "catenoid", "threshold_pair", "annulus_input", "annulus_trials"],
+    ids=["import", "lambda0", "catenoid", "threshold_pair", "annulus_input", "annulus_trials",
+         "ms", "threshold_sweep"],
 )
 def test_command_never_loads_scipy(args, tmp_path):
     assert _scipy_modules(args, tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["ms", "--input", "@ms"],
-        ["threshold", "--sweep", "1:2:2"],
-        ["oval", "--input", "@oval"],
-    ],
-    ids=["ms", "threshold_sweep", "oval"],
-)
+@pytest.mark.parametrize("args", [["oval", "--input", "@oval"]], ids=["oval"])
 def test_solver_loads_scipy_linalg(args, tmp_path):
     assert "scipy.linalg" in _scipy_modules(args, tmp_path)
 

@@ -212,3 +212,51 @@ class TestJacobiEigenvalue:
             st_mod.lowest_jacobi_eigenvalue(
                 CatenoidPiece(2.0, 0.0, Slab(-1.0, 1.0)), 1024
             )
+
+
+class TestJacobiNu1:
+    @pytest.mark.parametrize("a, b", [(-2.0, 3.0), (-0.8, 1.1), (-0.0032, 100.0), (-0.0032, 330.0)])
+    def test_matches_unweighted_fd(self, a, b):
+        nu1 = st_mod.jacobi_nu1(CatenoidPiece(1.0, 0.0, Slab(a, b)))
+        mesh = 65536
+        h = (b - a) / mesh
+        fd = orc.jacobi_fd_nu1(a, b, mesh)
+        # measured: 3e-3 h^2 of discretization error on the long slabs, where
+        # it is below |nu1|, and round-off near 1e-8 on the short ones
+        assert abs(fd - nu1) <= 1e-2 * h**2 + 1e-15 * 4.0 / h**2
+        assert (fd > 0.0) == (nu1 > 0.0)
+
+    def test_sign_far_from_the_neck(self):
+        # Slab(-0.0032, 100) lies inside the marginal piece of apex 312.5, which
+        # reaches 313.5, and Slab(-0.0032, 330) contains it; the FD solve of the
+        # weighted operator signs both wrongly
+        assert st_mod.jacobi_nu1(CatenoidPiece(1.0, 0.0, Slab(-0.0032, 100.0))) > 0.0
+        assert st_mod.jacobi_nu1(CatenoidPiece(1.0, 0.0, Slab(-0.0032, 330.0))) < 0.0
+        for z in (-20.0, -1.0, 0.0, 50.0, 312.5, 1e4):
+            slab = st_mod.cat_ms(z).slab
+            a, b = slab.h_minus, slab.h_plus
+            inner = CatenoidPiece(1.0, 0.0, Slab(a, a + 0.9 * (b - a)))
+            outer = CatenoidPiece(1.0, 0.0, Slab(a, a + 1.1 * (b - a)))
+            assert st_mod.jacobi_nu1(inner) > 0.0 > st_mod.jacobi_nu1(outer), z
+
+    def test_marginal_along_the_family(self):
+        for z in np.linspace(-20.0, 250.0, 271):
+            assert abs(st_mod.jacobi_nu1(st_mod.cat_ms(float(z)))) <= 1e-12, z
+
+    @given(
+        st.floats(-300.0, 300.0),
+        st.sampled_from([1.0, -1.0, 0.0]),
+        st.floats(-300.0, 300.0),
+    )
+    def test_any_slab_gives_nu1_or_convergence_error(self, lower_exp, sign, height_exp):
+        a = sign * 10.0**lower_exp
+        b = a + 10.0**height_exp
+        if not a < b < math.inf:
+            return
+        try:
+            nu1 = st_mod.jacobi_nu1(CatenoidPiece(1.0, 0.0, Slab(a, b)))
+        except ConvergenceError:
+            assert (b - a) <= 1e-150  # nu1 near or above the double range
+            return
+        # nu1 lies above the full line's ground state -1 and below (pi/L)^2
+        assert -1.0 <= nu1 <= (math.pi / (b - a)) ** 2 * (1.0 + 1e-15)

@@ -57,6 +57,12 @@ class TestMsSolve:
             mu1 = st_mod.lowest_jacobi_eigenvalue(ms.unit_piece(), mesh=2048).lowest_eigenvalue
             assert abs(mu1) <= 1e-4
 
+    def test_marginality_in_closed_form(self):
+        # below L ~ 0.3 the weighted FD reads round-off (mu1 ~ 2e-271 at L = 0.04)
+        for L in np.geomspace(1e-2, 1e4, 61):
+            ms = th.ms_piece_for_lower_length(float(L), CANON)
+            assert abs(st_mod.jacobi_nu1(ms.unit_piece())) <= 1e-12, L
+
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             th.ms_piece_for_lower_length(-1.0, CANON)
@@ -102,6 +108,7 @@ class TestSpanning:
         lam, c = result.parameters[0]
         assert lam == pytest.approx(lambda0, abs=1e-10)
         assert c == pytest.approx(0.0, abs=1e-10)
+        assert result.residuals[0] <= 1e-9
 
     def test_below_threshold_empty(self):
         L = th.l_crit(CANON) / 2.0
@@ -139,6 +146,20 @@ class TestSpanning:
             below = F * float(rng.uniform(0.75, 0.999))
             assert len(th.spanning_catenoids(L_minus, above, CANON)) == 2
             assert len(th.spanning_catenoids(L_minus, below, CANON)) == 0
+
+    def test_overflowing_threshold_counts_no_solution(self):
+        # F(0.01) exceeds every double (F(0.02) is 7.5e270): the count comes
+        # from log F, and the marginal piece is no tangential solution
+        result = th.spanning_catenoids(0.01, 1.0, CANON)
+        assert len(result) == 0 and not result.tangential
+        for L in np.geomspace(1e-3, 0.0176, 20):
+            assert len(th.spanning_catenoids(float(L), 1e300, CANON)) == 0, L
+
+    def test_two_solutions_near_a_huge_threshold(self):
+        F = th.f_omega(0.02, CANON)
+        result = th.spanning_catenoids(0.02, F * (1.0 + 1e-3), CANON)
+        assert len(result) == 2 and not result.tangential
+        assert max(result.residuals) <= 1e-9
 
     def test_general_slab(self):
         slab = Slab(0.5, 2.5)
