@@ -400,7 +400,7 @@ def _run_oval(doc, *, rtol):
     if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= _OVAL_N[1]):
         raise DataInvalidError(f"'n' must be a whole number <= {_OVAL_N[1]}, got {n!r}")
     n = int(n)
-    # |c'|^2 overflows on curves larger than about 1e153: run() reports the
+    # the curve's FFTs and length overflow from about 1e305: run() reports the
     # FloatingPointError as a numerical failure instead of a RuntimeWarning
     with np.errstate(over="raise", invalid="raise"):
         try:

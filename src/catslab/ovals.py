@@ -11,14 +11,19 @@ proven half constant is a hard invariant.
 
 ``lowest_eigenvalue`` solves the weak form by Fourier-Galerkin (Hill's method)
 in the curve's own sample parameter u in [0, 1), so the curve is never
-resampled: on the modes e^{2 pi i j u}, |j| <= K, the problem is A c = lambda M c
-with A = (2 pi)^2 diag(j) T(1/sigma) diag(j) + T(kappa^2 sigma) and
-M = T(sigma), where sigma = |c'(u)| and T(w) is the Toeplitz matrix of the
-Fourier coefficients of w.  lambda1 is the Rayleigh quotient of the computed
-lowest eigenvector.  K doubles from 16 until lambda1 moves by less than
-``rtol``; ``n_used`` reports the 2K + 1 modes of the accepted level.  Each
-level must satisfy lambda1 >= min kappa^2 (as -d^2/ds^2 >= 0) and functional
->= 1/2, otherwise ResolutionError is raised.
+resampled: on the real orthonormal modes 1, sqrt(2) cos 2 pi k u and
+sqrt(2) sin 2 pi k u, k = 1..K (the span of e^{2 pi i j u}, |j| <= K), the
+problem is the real symmetric A c = lambda M c, with A the stiffness form of
+1/sigma plus the mass form of kappa^2 sigma and M the mass form of sigma,
+where sigma = |c'(u)|.  Each form is Toeplitz plus Hankel in the Fourier
+coefficients of its weight, taken once per FFT grid.  lambda1 is the
+Rayleigh quotient of the computed lowest eigenvector.  K doubles from 16
+until lambda1 moves by less than ``rtol``; ``n_used`` reports the 2K + 1
+modes of the accepted level.  Each level must satisfy lambda1 >= min kappa^2
+(as -d^2/ds^2 >= 0) and functional >= 1/2, otherwise ResolutionError is
+raised.  The solve runs on the curve scaled by a power of four near 1/L,
+which is exact, so any curve whose lambda1 and L are normal doubles (circles
+of radius 1e-150 to 1e150 and more) is solved as the unit-size curve is.
 
 Curvature of a space curve here is the full curvature |T'(s)|; planar curves
 are the special case.  No generator for the known extremal (degenerating oval)
@@ -61,6 +66,8 @@ class ClosedCurve:
             raise ValueError("points must be finite")
         self.points = pts
         speed = self.speed
+        if not np.isfinite(speed.mean()):
+            raise ValueError("curve too large: its speed overflows a double")
         if not speed.mean() > 0.0 or speed.min() < _SPEED_FLOOR * speed.mean():
             raise ValueError("degenerate parameterization: speed vanishes")
 
@@ -68,12 +75,17 @@ class ClosedCurve:
         return self.points.shape[0]
 
     @cached_property
-    def _velocity(self) -> np.ndarray:
-        return fourier_derivative(self.points, period=1.0)
+    def _velocity(self) -> tuple[np.ndarray, int]:
+        """(c' / 2^e, e) with 2^e near max |c|: neither the FFT nor the squares
+        of the scaled velocity overflow or underflow, and a power of two keeps
+        them exact."""
+        e = int(np.frexp(np.abs(self.points).max())[1])
+        return fourier_derivative(np.ldexp(self.points, -e), period=1.0), e
 
     @cached_property
     def speed(self) -> np.ndarray:
-        return np.linalg.norm(self._velocity, axis=1)
+        velocity, e = self._velocity
+        return np.ldexp(np.linalg.norm(velocity, axis=1), e)
 
     @cached_property
     def total_length(self) -> float:
@@ -88,9 +100,10 @@ class ClosedCurve:
     @cached_property
     def curvature(self) -> np.ndarray:
         """kappa = |c' x c''| / |c'|^3 at the nodes (any parameterization)."""
-        c1 = self._velocity
-        c2 = fourier_derivative(self.points, 2, period=1.0)
-        return np.linalg.norm(np.cross(c1, c2), axis=1) / self.speed**3
+        c1, e = self._velocity
+        c2 = fourier_derivative(np.ldexp(self.points, -e), 2, period=1.0)
+        kappa = np.linalg.norm(np.cross(c1, c2), axis=1) / np.linalg.norm(c1, axis=1) ** 3
+        return np.ldexp(kappa, -e)
 
     # ---- generators -------------------------------------------------------
 
@@ -177,45 +190,96 @@ class OvalSpectrum:
         return 1.0 - self.functional > self.rel_error
 
 
-def _galerkin_level(curve: ClosedCurve, K: int):
-    """Lowest eigenvalue on the 2K + 1 modes e^{2 pi i j u} in the curve's own
-    parameter u: (eigensolver value, Rayleigh quotient of its eigenvector,
-    fine-grid length, min kappa^2).
-
-    The weak form Int (|f_u|^2 / sigma + kappa^2 sigma |f|^2) du against
-    Int sigma |f|^2 du, sigma = |c'(u)|, gives A c = lambda M c with Toeplitz
-    blocks of the Fourier coefficients of 1/sigma, kappa^2 sigma and sigma,
-    taken by FFT on a power-of-two grid P >= max(8K, 2N) (no aliasing up to
-    index 2K), where c' and c'' come from the N samples by zero padding.
+def _weight_coefficients(points: np.ndarray, P: int):
+    """Fourier coefficients c_m = R_m + i I_m, m = 0..P/2, of the Galerkin
+    weights 1/sigma, kappa^2 sigma and sigma (columns), with the length and
+    min kappa^2, all on a uniform grid of P points, where c' and c'' come from
+    the N samples by zero padding.  The coefficients are None where a weight
+    is not finite.
     """
-    P = 1 << (max(8 * K, 2 * len(curve)) - 1).bit_length()
-    c1 = fourier_derivative(curve.points, 1, P, period=1.0)
-    c2 = fourier_derivative(curve.points, 2, P, period=1.0)
+    c1 = fourier_derivative(points, 1, P, period=1.0)
+    c2 = fourier_derivative(points, 2, P, period=1.0)
     sigma = np.linalg.norm(c1, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa2 = (np.linalg.norm(np.cross(c1, c2), axis=1) / sigma**3) ** 2
         weights = np.stack([1.0 / sigma, kappa2 * sigma, sigma], axis=1)
     L, kappa2_min = float(sigma.mean()), float(kappa2.min())
     if not np.all(np.isfinite(weights)):
-        return math.nan, math.nan, L, kappa2_min
-    from scipy.linalg import eigh, toeplitz  # about 0.3 s; loaded on the first solve
+        return None, L, kappa2_min
+    return np.fft.rfft(weights, axis=0) / P, L, kappa2_min
 
-    # T[j, k] = w_{j-k}; toeplitz() fills w_{-m} = conj(w_m), true for real w
-    coef = np.fft.rfft(weights, axis=0)[: 2 * K + 1] / P
-    j = np.arange(-K, K + 1)
-    A = TWO_PI**2 * np.outer(j, j) * toeplitz(coef[:, 0]) + toeplitz(coef[:, 1])
-    M = toeplitz(coef[:, 2])
+
+def _galerkin_matrices(coef: np.ndarray, K: int):
+    """Real symmetric A and M on the orthonormal basis 1, sqrt(2) cos 2 pi k u,
+    sqrt(2) sin 2 pi k u, k = 1..K (in that order), from the
+    ``_weight_coefficients``.
+
+    The mass form of a weight w is Toeplitz plus Hankel in its coefficients:
+    cos_j cos_k = R_|j-k| + R_j+k, sin_j sin_k = R_|j-k| - R_j+k and
+    cos_j sin_k = sign(j-k) I_|j-k| - I_j+k; row 0 is R_0, sqrt(2) R_k and
+    -sqrt(2) I_k.  d/du swaps cos and sin, so the stiffness form of 1/sigma
+    takes the sin-sin block times (2 pi)^2 j k for cos-cos, and so on.
+    A = stiffness(1/sigma) + mass(kappa^2 sigma), M = mass(sigma).
+    """
+    j = np.arange(1, K + 1)
+    diff, tot = np.abs(j[:, None] - j), j[:, None] + j
+    sign = np.sign(j[:, None] - j)
+    jk = TWO_PI**2 * np.outer(j, j)
+    cos, sin = slice(1, K + 1), slice(K + 1, 2 * K + 1)
+
+    def blocks(c):  # cos-cos, sin-sin and cos-sin mass blocks
+        Rd, Rt = c.real[diff], c.real[tot]
+        return Rd + Rt, Rd - Rt, sign * c.imag[diff] - c.imag[tot]
+
+    def mass(c):
+        out = np.empty((2 * K + 1, 2 * K + 1))
+        out[0, 0] = c[0].real
+        out[0, cos] = out[cos, 0] = math.sqrt(2.0) * c[1 : K + 1].real
+        out[0, sin] = out[sin, 0] = -math.sqrt(2.0) * c[1 : K + 1].imag
+        out[cos, cos], out[sin, sin], out[cos, sin] = blocks(c)
+        out[sin, cos] = out[cos, sin].T
+        return out
+
+    A, M = mass(coef[:, 1]), mass(coef[:, 2])
+    cc, ss, cs = blocks(coef[:, 0])
+    A[cos, cos] += jk * ss
+    A[sin, sin] += jk * cc
+    A[cos, sin] -= (jk * cs).T
+    A[sin, cos] = A[cos, sin].T
+    return A, M
+
+
+def _galerkin_level(coef: np.ndarray, K: int):
+    """Lowest eigenvalue on the 2K + 1 real modes 1, cos 2 pi k u, sin 2 pi k u
+    in the curve's own parameter u: (eigensolver value, Rayleigh quotient of
+    its eigenvector).
+
+    The weak form Int (f_u^2 / sigma + kappa^2 sigma f^2) du against
+    Int sigma f^2 du, sigma = |c'(u)|, gives the real symmetric A c = lambda M c
+    of ``_galerkin_matrices``; ``coef`` must come from a grid P >= 8K, so no
+    index up to 2K aliases.
+    """
+    from scipy.linalg import eigh  # about 0.3 s; loaded on the first solve
+
+    A, M = _galerkin_matrices(coef, K)
     try:
         lam, vec = eigh(A, M, subset_by_index=(0, 0))
     except np.linalg.LinAlgError:
-        return math.nan, math.nan, L, kappa2_min
+        return math.nan, math.nan
     # The Rayleigh quotient of the computed eigenvector is exact to second
     # order in its error and sums terms that decay with the mode amplitudes, so
     # it sits far below the eigensolver's relative round-off floor, which
     # grows with |A| / lambda1 and reaches 1e-8 on 30:1 ellipses.
     vec = vec[:, 0]
-    rq = (vec.conj() @ A @ vec).real / (vec.conj() @ M @ vec).real
-    return float(lam[0]), float(rq), L, kappa2_min
+    return float(lam[0]), float((vec @ A @ vec) / (vec @ M @ vec))
+
+
+def _rescaled(name: str, value: float, exponent: int, residuals: dict) -> float:
+    """value * 2^exponent, or ResolutionError naming ``name`` unless that is a
+    normal double."""
+    if not -1021 <= math.frexp(value)[1] + exponent <= 1024:
+        raise ResolutionError(f"{name} is outside the normal double range", residuals)
+    return math.ldexp(value, exponent)
 
 
 def lowest_eigenvalue(
@@ -233,15 +297,28 @@ def lowest_eigenvalue(
     is checked against the invariants lambda1 >= min kappa^2 (on the
     eigensolver's own value: the Rayleigh quotient is an upper bound and
     would hide a broken solve) and functional >= 1/2, and a violation raises
-    ResolutionError.
+    ResolutionError, as does a lambda1 or L that is not a normal double once
+    scaled back.  The residuals of a failure are those of the scaled curve,
+    c / 4^log4_scale.
     """
     if max_n < 64:
         raise ValueError("max_n must allow two levels (K = 16 and 32)")
-    K, lam_prev = 16, math.nan
+    # Solve on the curve scaled by 4^-q, q = round(log4 L): every step is then
+    # exact in the power of two, Cholesky's square root included, so the
+    # scaled solve is the unscaled one bit for bit where that stays in range.
+    q = round(math.log(curve.total_length, 4))
+    points = np.ldexp(curve.points, -2 * q)
+    K, lam_prev, P_prev = 16, math.nan, 0
     while 2 * K <= max_n:
         n_used = 2 * K + 1
-        raw, lam, L, kappa2_min = _galerkin_level(curve, K)
+        P = 1 << (max(8 * K, 2 * len(curve)) - 1).bit_length()
+        if P != P_prev:  # one weight FFT per grid; the levels slice it
+            coef, L, kappa2_min = _weight_coefficients(points, P)
+            P_prev = P
+        raw, lam = (math.nan, math.nan) if coef is None else _galerkin_level(coef, K)
         functional = L * L * lam / TWO_PI**2
+        residuals = {"lambda1": raw, "rayleigh_quotient": lam, "min_kappa2": kappa2_min,
+                     "functional": functional, "length": L, "n": n_used, "log4_scale": q}
         failure = None
         if not (math.isfinite(raw) and math.isfinite(lam)):
             failure = "eigenvalue is not finite"
@@ -250,14 +327,13 @@ def lowest_eigenvalue(
         elif not (functional >= 0.5):
             failure = "functional below the proven constant 1/2"
         if failure is not None:
-            raise ResolutionError(
-                failure,
-                {"lambda1": raw, "rayleigh_quotient": lam, "min_kappa2": kappa2_min,
-                 "functional": functional, "n": n_used},
-            )
+            raise ResolutionError(failure, residuals)
         change = abs(lam - lam_prev) / lam
         if change <= rtol:
-            spec = OvalSpectrum(lam, functional, L, n_used, max(rtol, change))
+            spec = OvalSpectrum(
+                _rescaled("lambda1", lam, -4 * q, residuals), functional,
+                _rescaled("length", L, 2 * q, residuals), n_used, max(rtol, change),
+            )
             if spec.below_conjectured_constant:
                 _log.warning(
                     "oval functional %.15g is below the conjectured constant 1 "
@@ -267,5 +343,5 @@ def lowest_eigenvalue(
         K, lam_prev = 2 * K, lam
     raise ResolutionError(
         "eigenvalue did not converge across refinements",
-        {"last": lam_prev, "n": n_used},
+        {"last": lam_prev, "n": n_used, "log4_scale": q},
     )

@@ -63,14 +63,19 @@ def cumulative_integral(values: np.ndarray, period: float = TWO_PI):
     ``total`` over the whole period.
     """
     n = values.shape[-1]
-    coef = np.fft.fft(values, axis=-1) / n
+    coef = np.fft.fft(values, axis=-1)
+    coef /= n
     m = np.fft.fftfreq(n, d=1.0 / n)
-    nonzero = m != 0
-    anti = np.zeros_like(coef)
-    anti[..., nonzero] = coef[..., nonzero] / (1j * (m[nonzero] * (TWO_PI / period)))
-    wave = np.fft.ifft(anti * n, axis=-1)
+    anti = np.divide(
+        coef, 1j * (m * (TWO_PI / period)), out=np.zeros_like(coef), where=m != 0
+    )
+    anti *= n
+    wave = np.fft.ifft(anti, axis=-1)
     c0 = coef[..., 0]
-    return c0[..., None] * periodic_nodes(n, period) + wave - wave[..., :1], c0 * period
+    out = c0[..., None] * periodic_nodes(n, period)
+    out += wave
+    out -= wave[..., :1]
+    return out, c0 * period
 
 
 @functools.lru_cache(maxsize=32)

@@ -214,15 +214,19 @@ def _level_values(data: WeierstrassData, ts, n: int) -> list:
     return _on_circles([g, h, _z_derivative(g), _z_derivative(h)], ts, n)
 
 
-def _level_lengths(ts, gv, hv, zdg, zdh):
+def _level_lengths(ts, gv, hv, zdg, zdh, *, second=True):
     """Speeds |F1| and |F2| from the ``_level_values`` of the circles of
-    ``ts``, and L, L' and L'' at each t (see the module docstring)."""
+    ``ts``, and L, L' and L'' at each t (see the module docstring); L'' is
+    None unless ``second``."""
     a, b = _speeds(ts, gv, hv)
     u1, u2 = 1.0 + zdg / gv + zdh / hv, 1.0 - zdg / gv + zdh / hv
     lengths = periodic_integral(0.5 * (a + b))
     first = periodic_integral(0.5 * (a * u1.real + b * u2.real))
-    second = periodic_integral(0.5 * (a * np.abs(u1) ** 2 + b * np.abs(u2) ** 2))
-    return a, b, lengths, first, second
+    if not second:
+        return a, b, lengths, first, None
+    return a, b, lengths, first, periodic_integral(
+        0.5 * (a * np.abs(u1) ** 2 + b * np.abs(u2) ** 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +766,9 @@ def area_comparison(data: WeierstrassData, slab: Slab) -> AreaReport:
     ta, tb = slab.h_minus / mu, slab.h_plus / mu
 
     tq, wq = gauss_legendre(96, ta, tb)
-    a, b, lengths, slopes, _ = _level_lengths(tq, *_level_values(data, tq, n_theta))
+    a, b, lengths, slopes, _ = _level_lengths(
+        tq, *_level_values(data, tq, n_theta), second=False
+    )
     lam_w = 0.5 * (a + b)
     area_sigma = float((wq * (lam_w**2).mean(axis=1) * TWO_PI).sum())
 

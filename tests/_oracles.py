@@ -9,14 +9,15 @@ package's Galerkin solver does not need), solution counts from sign-change
 cells of a dense residual grid, Laurent series from one complex power per
 term, level-length derivatives from 5-point stencils, Weierstrass flux
 vectors from loop integrals of directly evaluated g and h, the symmetric
-marginal piece's ends from Brent's method on h tanh h = 1.
+marginal piece's ends from Brent's method on h tanh h = 1, and the oval
+Galerkin matrices from Toeplitz matrices on complex Fourier modes.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, toeplitz
 from scipy.optimize import brentq
 from scipy.signal import resample as trig_resample
 
@@ -230,6 +231,38 @@ def dense_collocation_lambda1(curve):
     A = -D2 + np.diag(curve.curvature**2)
     A = 0.5 * (A + A.T)
     return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
+def complex_galerkin_matrices(coef: np.ndarray, K: int):
+    """Hermitian Galerkin matrices of the oval eigenproblem on the complex
+    modes e^{2 pi i j u}, |j| <= K, from the Fourier coefficients ``coef`` of
+    the weights 1/sigma, kappa^2 sigma and sigma (columns, m = 0..2K at least):
+    A = (2 pi)^2 diag(j) T(1/sigma) diag(j) + T(kappa^2 sigma), M = T(sigma),
+    with T[j, k] = w_{j-k} and w_{-m} = conj(w_m) for a real weight."""
+    c = coef[: 2 * K + 1]
+    j = np.arange(-K, K + 1)
+    A = TWO_PI**2 * np.outer(j, j) * toeplitz(c[:, 0]) + toeplitz(c[:, 1])
+    return A, toeplitz(c[:, 2])
+
+
+def real_to_complex_modes(K: int) -> np.ndarray:
+    """Unitary U whose columns are the real basis 1, sqrt(2) cos 2 pi k u and
+    sqrt(2) sin 2 pi k u (k = 1..K, in that order) in the modes e^{2 pi i j u},
+    rows j = -K..K."""
+    U = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    k = np.arange(1, K + 1)
+    U[K, 0] = 1.0
+    U[K + k, k] = U[K - k, k] = 1.0 / math.sqrt(2.0)
+    U[K + k, K + k], U[K - k, K + k] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    return U
+
+
+def complex_galerkin_lambda1(coef: np.ndarray, K: int) -> float:
+    """Rayleigh quotient of the lowest generalized eigenvector of
+    ``complex_galerkin_matrices``."""
+    A, M = complex_galerkin_matrices(coef, K)
+    vec = eigh(A, M, subset_by_index=(0, 0))[1][:, 0]
+    return float((vec.conj() @ A @ vec).real / (vec.conj() @ M @ vec).real)
 
 
 def spanning_count_grid(lower, upper, slab, n_lam=400, n_c=400):

@@ -536,12 +536,12 @@ class TestOvalCommand:
         assert "min kappa^2" in err
 
     def test_huge_curve_exits_4(self, tmp_path, capsys):
-        # |c'|^2 overflows a double: a numerical failure, never a RuntimeWarning
+        # lambda1 ~ 1e-400 is below the doubles: a numerical failure naming it
         spec = tmp_path / "huge.json"
         spec.write_text(json.dumps({"circle": [1e200]}))
         code, out, err = run_cli(["oval", "--input", str(spec)], capsys)
         assert code == 4 and out == ""
-        assert "overflow" in strict_json(err)["error"]
+        assert "lambda1" in strict_json(err)["error"]
 
     def test_points_take_no_n(self, tmp_path, capsys):
         u = 2 * np.pi * np.arange(64) / 64

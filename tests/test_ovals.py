@@ -220,6 +220,58 @@ class TestLowestEigenvalue:
             assert spec.lambda1 == pytest.approx(oracle, abs=1e-7 * max(1.0, oracle))
 
 
+class TestRealGalerkin:
+    """The real cos/sin assembly against the complex Toeplitz one in
+    ``_oracles``: the real basis spans the same modes |j| <= K."""
+
+    @pytest.mark.parametrize("K", [16, 64, 256])
+    def test_matrices_match_complex_toeplitz(self, rng, K):
+        # rolled and rotated, so the weights have sine coefficients I_m != 0
+        base = ClosedCurve.random_fourier(rng, n_modes=5, amplitude=0.3)
+        curve = rotated_translated(ClosedCurve(np.roll(base.points, 37, axis=0)), rng)
+        coef = ov._weight_coefficients(curve.points, max(8 * K, 2 * len(curve)))[0]
+        assert np.abs(coef[1 : 2 * K + 1].imag).max() > 1e-3 * np.abs(coef).max()
+        U = orc.real_to_complex_modes(K)
+        pairs = zip(ov._galerkin_matrices(coef, K), orc.complex_galerkin_matrices(coef, K))
+        for real, herm in pairs:
+            assert np.abs(U.conj().T @ herm @ U - real).max() <= 1e-13 * np.abs(real).max()
+
+    def test_eigenvalue_matches_complex_solve(self, rng):
+        curves = [ClosedCurve.ellipse(a, 1.0, 256) for a in (1.5, 4.0, 7.0)]
+        curves += [ClosedCurve.rounded_polygon(k, r, 512) for k, r in ((3, 0.15), (5, 0.2))]
+        curves += [ClosedCurve.random_fourier(rng, amplitude=0.25) for _ in range(3)]
+        n_used = []
+        for curve in curves:
+            spec = ov.lowest_eigenvalue(curve)
+            K = spec.n_used // 2
+            P = 1 << (max(8 * K, 2 * len(curve)) - 1).bit_length()
+            oracle = orc.complex_galerkin_lambda1(ov._weight_coefficients(curve.points, P)[0], K)
+            assert spec.lambda1 == pytest.approx(oracle, rel=1e-12)
+            n_used.append(spec.n_used)
+        assert max(n_used) == 513
+
+
+class TestScale:
+    def test_circles_across_the_double_range(self):
+        for e in range(-150, 151):
+            spec = ov.lowest_eigenvalue(ClosedCurve.circle(10.0**e, 64))
+            assert abs(spec.functional - 1.0) <= 1e-9, e
+
+    def test_power_of_four_scaling_is_exact(self, rng):
+        base = ClosedCurve.random_fourier(rng, n_modes=4, amplitude=0.3)
+        spec0 = ov.lowest_eigenvalue(base)
+        for k in (-100, -57, -1, 1, 23, 100):
+            spec = ov.lowest_eigenvalue(ClosedCurve(np.ldexp(base.points, 2 * k)))
+            assert math.ldexp(spec.lambda1, 4 * k) == spec0.lambda1
+            assert math.ldexp(spec.length, -2 * k) == spec0.length
+            assert spec.functional == spec0.functional
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    def test_lambda_beyond_the_doubles_refused(self, radius):
+        with pytest.raises(ResolutionError, match="lambda1"):
+            ov.lowest_eigenvalue(ClosedCurve.circle(radius, 64))
+
+
 class TestCorpusInvariants:
     def test_proven_half_constant(self, rng):
         curves = [ClosedCurve.ellipse(a, 1.0, 128) for a in (1.0, 1.5, 2.5, 4.0)]
