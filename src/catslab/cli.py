@@ -327,7 +327,7 @@ def _run_threshold_sweep(sweep, doc):
 
 
 def _run_annulus(doc, *, quadrature_rtol, levels, n_theta):
-    data = weierstrass.from_json(json.dumps(doc))
+    data = weierstrass.from_document(doc)
     val = weierstrass.validate(data)
     profile = weierstrass.level_profile(
         data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
@@ -400,23 +400,20 @@ def _run_oval(doc, *, rtol):
     if not (isinstance(n, (int, float)) and float(n).is_integer() and n <= _OVAL_N[1]):
         raise DataInvalidError(f"'n' must be a whole number <= {_OVAL_N[1]}, got {n!r}")
     n = int(n)
-    # the curve's FFTs and length overflow from about 1e305: run() reports the
-    # FloatingPointError as a numerical failure instead of a RuntimeWarning
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            if "points" in doc:
-                curve = ovals.ClosedCurve(np.asarray(doc["points"], dtype=float))
-            elif "ellipse" in doc:
-                a, b = (float(v) for v in doc["ellipse"])
-                curve = ovals.ClosedCurve.ellipse(a, b, n)
-            elif "circle" in doc:
-                (r,) = (float(v) for v in doc["circle"])
-                curve = ovals.ClosedCurve.circle(r, n)
-            else:
-                raise DataInvalidError("oval input needs 'points', 'ellipse' or 'circle'")
-        except (TypeError, ValueError) as exc:
-            raise DataInvalidError(f"bad curve input: {exc}") from exc
-        spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
+    try:
+        if "points" in doc:
+            curve = ovals.ClosedCurve(np.asarray(doc["points"], dtype=float))
+        elif "ellipse" in doc:
+            a, b = (float(v) for v in doc["ellipse"])
+            curve = ovals.ClosedCurve.ellipse(a, b, n)
+        elif "circle" in doc:
+            (r,) = (float(v) for v in doc["circle"])
+            curve = ovals.ClosedCurve.circle(r, n)
+        else:
+            raise DataInvalidError("oval input needs 'points', 'ellipse' or 'circle'")
+    except (TypeError, ValueError) as exc:
+        raise DataInvalidError(f"bad curve input: {exc}") from exc
+    spectrum = ovals.lowest_eigenvalue(curve, rtol=rtol)
     payload = {
         "length": spectrum.length,
         "lambda1": spectrum.lambda1,
@@ -547,7 +544,7 @@ def run(config: RunConfig) -> int:
         args, knobs = _arguments(config)
         payload, rows = _KNOBS[config.mode]["run"](*args, **knobs)
         text = _render(payload, rows, config.format)
-    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         residuals = _strict(_round15(getattr(exc, "residuals", {})))
         dump = {"error": str(exc), "residuals": residuals}
         print(json.dumps(dump, sort_keys=True, allow_nan=False), file=sys.stderr)

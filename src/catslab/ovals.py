@@ -21,9 +21,10 @@ Rayleigh quotient of the computed lowest eigenvector.  K doubles from 16
 until lambda1 moves by less than ``rtol``; ``n_used`` reports the 2K + 1
 modes of the accepted level.  Each level must satisfy lambda1 >= min kappa^2
 (as -d^2/ds^2 >= 0) and functional >= 1/2, otherwise ResolutionError is
-raised.  The solve runs on the curve scaled by a power of four near 1/L,
-which is exact, so any curve whose lambda1 and L are normal doubles (circles
-of radius 1e-150 to 1e150 and more) is solved as the unit-size curve is.
+raised.  ``ClosedCurve`` keeps the exactly scaled unit-size copy c / 4^q of
+its points (4^q near max |c|), and every derived quantity comes from it, so
+any curve whose size is a normal double is solved as the unit-size curve is;
+a failure reports the unit copy's residuals, with ``log4_scale`` = q.
 
 Curvature of a space curve here is the full curvature |T'(s)|; planar curves
 are the special case.  No generator for the known extremal (degenerating oval)
@@ -41,18 +42,30 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError
-from .spectral import TWO_PI, cumulative_integral, fourier_derivative
+from .spectral import TWO_PI, fourier_derivative
 
 _log = logging.getLogger(__name__)
 # a parameterization is degenerate where its speed falls below this times the mean
 _SPEED_FLOOR = 1e-8
 
 
+def _speed_curvature(points: np.ndarray, n: int | None = None):
+    """sigma = |c'| and kappa = |c' x c''| / |c'|^3 of unit-size samples
+    (any parameterization), at the samples or, with ``n``, on a uniform grid
+    of n >= N points by zero padding.  kappa is inf or nan where sigma is 0."""
+    c1 = fourier_derivative(points, 1, n, period=1.0)
+    c2 = fourier_derivative(points, 2, n, period=1.0)
+    sigma = np.linalg.norm(c1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sigma, np.linalg.norm(np.cross(c1, c2), axis=1) / sigma**3
+
+
 class ClosedCurve:
     """Periodic point samples of a closed space curve, uniform in parameter.
 
-    ``points`` has shape (N, 3) with no duplicated endpoint.  Arclength, total
-    length and curvature are derived spectrally; curvature is the full
+    ``points`` has shape (N, 3) with no duplicated endpoint, and max |c| is a
+    normal double.  Speed, total length and curvature come spectrally from the
+    unit-size copy c / 4^q, scaled back exactly; curvature is the full
     space-curve curvature |T'(s)| (planar curves as a special case).
     """
 
@@ -64,46 +77,32 @@ class ClosedCurve:
             raise ValueError("need at least 32 samples")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
+        size = float(np.abs(pts).max())
+        if size < np.finfo(float).tiny:  # subnormal: its FFTs lose their bits
+            raise ValueError(f"curve size max |c| = {size!r} is below the normal doubles")
         self.points = pts
-        speed = self.speed
-        if not np.isfinite(speed.mean()):
-            raise ValueError("curve too large: its speed overflows a double")
-        if not speed.mean() > 0.0 or speed.min() < _SPEED_FLOOR * speed.mean():
+        self._q = math.frexp(size)[1] // 2  # the unit copy's max |c| is in [1/2, 2)
+        self._unit = np.ldexp(pts, -2 * self._q)
+        self._frame = _speed_curvature(self._unit)  # (sigma, kappa) at the nodes
+        sigma = self._frame[0]
+        if not sigma.mean() > 0.0 or sigma.min() < _SPEED_FLOOR * sigma.mean():
             raise ValueError("degenerate parameterization: speed vanishes")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     @cached_property
-    def _velocity(self) -> tuple[np.ndarray, int]:
-        """(c' / 2^e, e) with 2^e near max |c|: neither the FFT nor the squares
-        of the scaled velocity overflow or underflow, and a power of two keeps
-        them exact."""
-        e = int(np.frexp(np.abs(self.points).max())[1])
-        return fourier_derivative(np.ldexp(self.points, -e), period=1.0), e
-
-    @cached_property
     def speed(self) -> np.ndarray:
-        velocity, e = self._velocity
-        return np.ldexp(np.linalg.norm(velocity, axis=1), e)
+        return np.ldexp(self._frame[0], 2 * self._q)
 
     @cached_property
     def total_length(self) -> float:
         # trapezoid rule of a smooth periodic integrand: the plain mean
-        return float(self.speed.mean())
-
-    @cached_property
-    def arclength(self) -> np.ndarray:
-        """Cumulative arclength at the nodes, by spectral antidifferentiation."""
-        return cumulative_integral(self.speed, period=1.0)[0].real
+        return float(np.ldexp(self._frame[0].mean(), 2 * self._q))
 
     @cached_property
     def curvature(self) -> np.ndarray:
-        """kappa = |c' x c''| / |c'|^3 at the nodes (any parameterization)."""
-        c1, e = self._velocity
-        c2 = fourier_derivative(np.ldexp(self.points, -e), 2, period=1.0)
-        kappa = np.linalg.norm(np.cross(c1, c2), axis=1) / np.linalg.norm(c1, axis=1) ** 3
-        return np.ldexp(kappa, -e)
+        return np.ldexp(self._frame[1], -2 * self._q)
 
     # ---- generators -------------------------------------------------------
 
@@ -163,17 +162,18 @@ class ClosedCurve:
 
 
 def rayleigh_quotient(curve: ClosedCurve, f) -> float:
-    """(Int |df/ds|^2 + kappa^2 f^2 ds) / (Int f^2 ds) for node samples ``f``."""
+    """(Int |df/ds|^2 + kappa^2 f^2 ds) / (Int f^2 ds) for node samples ``f``,
+    taken on the curve's unit copy and scaled back."""
     f = np.asarray(f, dtype=float)
     if f.shape != (len(curve),):
         raise ValueError("f must be sampled at the curve nodes")
-    speed = curve.speed
-    denom = float((f**2 * speed).mean())
+    sigma, kappa = curve._frame
+    denom = float((f**2 * sigma).mean())
     if denom < 1e-30:
         raise ValueError("f is numerically zero")
-    df_ds = fourier_derivative(f, period=1.0) / speed
-    numer = float(((df_ds**2 + curve.curvature**2 * f**2) * speed).mean())
-    return numer / denom
+    df_ds = fourier_derivative(f, period=1.0) / sigma
+    numer = float(((df_ds**2 + kappa**2 * f**2) * sigma).mean())
+    return float(np.ldexp(numer / denom, -4 * curve._q))
 
 
 @dataclass
@@ -193,15 +193,13 @@ class OvalSpectrum:
 def _weight_coefficients(points: np.ndarray, P: int):
     """Fourier coefficients c_m = R_m + i I_m, m = 0..P/2, of the Galerkin
     weights 1/sigma, kappa^2 sigma and sigma (columns), with the length and
-    min kappa^2, all on a uniform grid of P points, where c' and c'' come from
-    the N samples by zero padding.  The coefficients are None where a weight
-    is not finite.
+    min kappa^2, all on a uniform grid of P points from the unit-size
+    ``points`` (``_speed_curvature``).  The coefficients are None where a
+    weight is not finite.
     """
-    c1 = fourier_derivative(points, 1, P, period=1.0)
-    c2 = fourier_derivative(points, 2, P, period=1.0)
-    sigma = np.linalg.norm(c1, axis=1)
+    sigma, kappa = _speed_curvature(points, P)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kappa2 = (np.linalg.norm(np.cross(c1, c2), axis=1) / sigma**3) ** 2
+        kappa2 = kappa**2
         weights = np.stack([1.0 / sigma, kappa2 * sigma, sigma], axis=1)
     L, kappa2_min = float(sigma.mean()), float(kappa2.min())
     if not np.all(np.isfinite(weights)):
@@ -298,16 +296,15 @@ def lowest_eigenvalue(
     eigensolver's own value: the Rayleigh quotient is an upper bound and
     would hide a broken solve) and functional >= 1/2, and a violation raises
     ResolutionError, as does a lambda1 or L that is not a normal double once
-    scaled back.  The residuals of a failure are those of the scaled curve,
-    c / 4^log4_scale.
+    scaled back.  The residuals of a failure are those of the curve's unit
+    copy c / 4^log4_scale.
     """
     if max_n < 64:
         raise ValueError("max_n must allow two levels (K = 16 and 32)")
-    # Solve on the curve scaled by 4^-q, q = round(log4 L): every step is then
-    # exact in the power of two, Cholesky's square root included, so the
-    # scaled solve is the unscaled one bit for bit where that stays in range.
-    q = round(math.log(curve.total_length, 4))
-    points = np.ldexp(curve.points, -2 * q)
+    # Solve on the unit copy c / 4^q: every step is then exact in the power of
+    # two, Cholesky's square root included, so the scaled solve is the
+    # unscaled one bit for bit where that stays in range.
+    q, points = curve._q, curve._unit
     K, lam_prev, P_prev = 16, math.nan, 0
     while 2 * K <= max_n:
         n_used = 2 * K + 1

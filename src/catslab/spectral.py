@@ -31,18 +31,18 @@ def fourier_derivative(
 ) -> np.ndarray:
     """Spectral derivative along axis 0 of real periodic samples on [0, period).
 
-    At the sample points by default.  With ``n_out`` (greater than the sample
-    count) the derivative of the trigonometric interpolant is evaluated on a
-    uniform grid of ``n_out`` points by zero padding; an even count's Nyquist
-    mode is split evenly between +-n/2.
+    At the sample points by default or with ``n_out`` equal to the sample
+    count.  With a larger ``n_out`` the derivative of the trigonometric
+    interpolant is evaluated on a uniform grid of ``n_out`` points by zero
+    padding; an even count's Nyquist mode is split evenly between +-n/2.  A
+    smaller ``n_out`` raises ValueError.
     """
     n = values.shape[0]
+    n_out = n if n_out is None else n_out
+    if n_out < n:
+        raise ValueError(f"n_out = {n_out} is below the sample count {n}")
     spec = np.fft.fft(values, axis=0)
-    if n_out is None:
-        n_out = n
-        if order % 2 and n % 2 == 0:
-            spec[n // 2] = 0.0  # odd derivative of the Nyquist mode is ambiguous
-    else:
+    if n_out > n:
         pos = (n + 1) // 2
         padded = np.zeros((n_out,) + values.shape[1:], dtype=complex)
         padded[:pos] = spec[:pos]
@@ -51,6 +51,8 @@ def fourier_derivative(
             padded[n_out - n // 2] *= 0.5
             padded[n // 2] = padded[n_out - n // 2]
         spec = padded * (n_out / n)
+    elif order % 2 and n % 2 == 0:
+        spec[n // 2] = 0.0  # odd derivative of the Nyquist mode is ambiguous
     modes = np.fft.fftfreq(n_out, d=1.0 / n_out) * (TWO_PI / period)
     factor = ((1j * modes) ** order).reshape((n_out,) + (1,) * (values.ndim - 1))
     return np.fft.ifft(spec * factor, axis=0).real

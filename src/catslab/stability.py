@@ -216,21 +216,19 @@ def lowest_jacobi_eigenvalue(
     s = nodes[1:-1]
     h = (b - a) / mesh
     with np.errstate(over="ignore"):
-        w = np.cosh(s) ** 2
-        root = np.sqrt(w[:-1] * w[1:])
+        c = np.cosh(s)
+        w = c**2
     if not np.all(np.isfinite(w)):
         raise ConvergenceError(
             "cosh^2 weight of the Jacobi operator overflows on the slab",
             {"h_minus": a, "h_plus": b},
         )
-    # beyond |s| ~ 177 the product overflows although both factors are finite
-    root = np.where(np.isfinite(root), root, np.sqrt(w[:-1]) * np.sqrt(w[1:]))
     d = (2.0 / h**2 - 2.0 / w) / w
-    e = (-1.0 / h**2) / root
+    e = (-1.0 / h**2) / (c[:-1] * c[1:])
     from scipy.linalg import eigh_tridiagonal  # about 0.3 s; loaded on the first solve
 
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    u = vecs[:, 0] / np.sqrt(w)
+    u = vecs[:, 0] / c
     u = np.concatenate(([0.0], u, [0.0]))
     u = u / np.max(np.abs(u))
     if u[1] < 0:

@@ -154,9 +154,13 @@ def to_json(data: WeierstrassData) -> str:
 
 def from_json(text: str) -> WeierstrassData:
     try:
-        doc = json.loads(text)
+        return from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DataInvalidError(f"unparsable Weierstrass document: {exc}") from exc
+
+
+def from_document(doc) -> WeierstrassData:
+    """WeierstrassData from a parsed ``to_json`` document, checked key by key."""
     if not isinstance(doc, dict):
         raise DataInvalidError("Weierstrass document must be a JSON object")
     allowed = {"version", "g", "h", "r_inner", "r_outer"}

@@ -3,8 +3,11 @@ import inspect
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -542,6 +545,28 @@ class TestOvalCommand:
         code, out, err = run_cli(["oval", "--input", str(spec)], capsys)
         assert code == 4 and out == ""
         assert "lambda1" in strict_json(err)["error"]
+
+    @pytest.mark.parametrize("radius", [1e-320, 1e305, 1e306, 1e307, 1e308])
+    def test_extreme_sizes_exit_without_warnings(self, tmp_path, radius):
+        # in a child process that turns every RuntimeWarning into an error: a
+        # subnormal size is bad input, and beyond 1e305 lambda1 ~ 1/r^2 and
+        # the length leave the doubles although the curve's FFTs stay in range
+        spec = tmp_path / "circle.json"
+        spec.write_text(json.dumps({"circle": [radius]}))
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "catslab.cli",
+             "oval", "--input", str(spec)],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, check=False,
+        )
+        assert proc.stdout == ""
+        if radius < 1.0:
+            assert proc.returncode == 3 and "size" in proc.stderr
+        else:
+            assert proc.returncode == 4
+            assert re.search("lambda1|length", strict_json(proc.stderr)["error"])
 
     def test_points_take_no_n(self, tmp_path, capsys):
         u = 2 * np.pi * np.arange(64) / 64

@@ -49,13 +49,13 @@ class TestClosedCurve:
             ClosedCurve(np.zeros((64, 3)))  # degenerate speed
         with pytest.raises(ValueError):
             ClosedCurve(np.full((64, 3), np.nan))
+        with pytest.raises(ValueError, match="size"):
+            ClosedCurve.circle(1e-320, 64)  # subnormal
 
     def test_circle_quantities(self):
         c = ClosedCurve.circle(2.0, 256)
         assert c.total_length == pytest.approx(2 * TWO_PI, rel=1e-14)
         assert np.abs(c.curvature - 0.5).max() <= 1e-12
-        assert c.arclength[0] == 0.0
-        assert np.all(np.diff(c.arclength) > 0)
 
 
 class TestResample:
@@ -105,7 +105,7 @@ class TestResample:
 
 class TestRayleighQuotient:
     def test_circle_constant_function(self):
-        for r in (0.5, 1.0, 3.0):
+        for r in (0.5, 1.0, 3.0, 1e-31, 1e-100):
             c = ClosedCurve.circle(r, 256)
             assert ov.rayleigh_quotient(c, np.ones(256)) == pytest.approx(
                 1.0 / r**2, rel=1e-12
@@ -260,11 +260,17 @@ class TestScale:
     def test_power_of_four_scaling_is_exact(self, rng):
         base = ClosedCurve.random_fourier(rng, n_modes=4, amplitude=0.3)
         spec0 = ov.lowest_eigenvalue(base)
+        f = 1.0 + 0.3 * np.cos(TWO_PI * np.arange(len(base)) / len(base))
+        rq0 = ov.rayleigh_quotient(base, f)
         for k in (-100, -57, -1, 1, 23, 100):
-            spec = ov.lowest_eigenvalue(ClosedCurve(np.ldexp(base.points, 2 * k)))
+            curve = ClosedCurve(np.ldexp(base.points, 2 * k))
+            spec = ov.lowest_eigenvalue(curve)
             assert math.ldexp(spec.lambda1, 4 * k) == spec0.lambda1
             assert math.ldexp(spec.length, -2 * k) == spec0.length
             assert spec.functional == spec0.functional
+            assert np.array_equal(np.ldexp(curve.speed, -2 * k), base.speed)
+            assert np.array_equal(np.ldexp(curve.curvature, 2 * k), base.curvature)
+            assert math.ldexp(ov.rayleigh_quotient(curve, f), 4 * k) == rq0
 
     @pytest.mark.parametrize("radius", [1e-200, 1e200])
     def test_lambda_beyond_the_doubles_refused(self, radius):
