@@ -430,8 +430,9 @@ def _run_oval(doc, *, rtol):
 # the handler gets when it is not given (None: the flag is required); and its
 # --tol and --grid keys, which the handler takes by keyword, each (default,
 # minimum, maximum).  A tolerance may be any positive finite float.  At the
-# grid maxima the largest run peaks near 400 MiB (annulus levels x n_theta,
-# catenoid n_height x n_theta).
+# grid maxima a run's peak RSS is 184 MiB for annulus (levels x n_theta) and
+# 113 MiB for catenoid (n_height x n_theta, 305 MiB before its quadrature
+# kept one plane per component); Python 3.11, numpy 2.4, x86-64 Linux.
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
 _ANNULUS_TOL = {"quadrature_rtol": (1e-8, *_POSITIVE)}
 _ANNULUS_GRID = {"levels": (33, 5, 513), "n_theta": (512, 8, 2048)}

@@ -16,16 +16,21 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .rootfind import bracketed_root
 from .spectral import TWO_PI, gauss_legendre, periodic_nodes
 
 # central-difference step of the quadrature's area element in angle and, times
 # the scale, in height
 _STENCIL_STEP = 1e-5
+# logs of sizes the quadrature's stencil may reach: below the largest double
+# by a relative 2^-10, far above the stencil's own rounding (~1e-8)
+_LOG_HUGE = math.log(sys.float_info.max) - 2.0**-10
 
 
 # math.sinh and math.cosh, with a signed infinity where they overflow
@@ -57,6 +62,10 @@ class Slab:
             raise ValueError(
                 f"degenerate slab: h_minus={self.h_minus} must be < h_plus={self.h_plus}"
             )
+        # Python floats overflow quietly to inf
+        height, twice_mid = self.h_plus - self.h_minus, self.h_plus + self.h_minus
+        if not (math.isfinite(height) and math.isfinite(twice_mid)):
+            raise ValueError("slab height and midpoint must be finite")
 
     @property
     def height(self) -> float:
@@ -105,6 +114,11 @@ def reduce_to_canonical(piece: CatenoidPiece) -> tuple[CatenoidPiece, float, flo
     return canonical, c, m
 
 
+def _radius(piece: CatenoidPiece, h):
+    """Radius lam*cosh((h - t)/lam) of the slice circle at height(s) ``h``."""
+    return piece.scale * np.cosh((h - piece.offset) / piece.scale)
+
+
 def parameterize(piece: CatenoidPiece, h, theta) -> np.ndarray:
     """Point(s) of the clipped catenoid at ambient height ``h`` and angle ``theta``.
 
@@ -117,7 +131,7 @@ def parameterize(piece: CatenoidPiece, h, theta) -> np.ndarray:
         raise ValueError(
             f"height out of range [{piece.slab.h_minus}, {piece.slab.h_plus}]"
         )
-    r = piece.scale * np.cosh((h - piece.offset) / piece.scale)
+    r = _radius(piece, h)
     return np.stack(np.broadcast_arrays(r * np.cos(theta), r * np.sin(theta), h), axis=-1)
 
 
@@ -126,20 +140,88 @@ def area_in_slab(piece: CatenoidPiece) -> float:
 
     On the canonical slab this is ``pi*lam^2*cosh(2t/lam)*sinh(2/lam) + 2*pi*lam``;
     general slabs go through the canonical reduction (area scales by c^2).
+    Returns inf where cosh(2t/lam)*sinh(2/lam) or the area overflows the
+    doubles; where c^2 or lam^2 alone leaves them, the terms are grouped by
+    the scale c*lam instead.
     """
     canonical, c, _ = reduce_to_canonical(piece)
     lam, t = canonical.scale, canonical.offset
-    area = math.pi * lam * lam * (_cosh(2.0 * t / lam) * _sinh(2.0 / lam)) + TWO_PI * lam
-    return c * c * area
+    growth = _cosh(2.0 * t / lam) * _sinh(2.0 / lam)
+    area = c * c * (math.pi * lam * lam * growth + TWO_PI * lam)
+    if math.isnan(area):  # 0 * inf: c^2 or lam^2 left the doubles, c*lam did not
+        scale = c * lam
+        area = math.pi * scale * (scale * growth) + TWO_PI * scale * c
+    return area
+
+
+def _stencil_radii(piece, w_h, n_theta, h, h_p, h_m):
+    """Radii at the quadrature's stencil heights and the height step, checked
+    before any arithmetic on the (n_height, n_theta) planes.
+
+    Raises ConvergenceError where the stencil cannot be taken in doubles: the
+    height step rounds to zero, or cosh, the radius, a component of the area
+    element or its weighted sum would overflow.  The bounds are taken in log
+    form, from the columns alone: on height row i the angle tangent is at most
+    r_i and the height tangent at most the radial slope s_i, up to rounding,
+    so the element is at most r_i*(1 + s_i).
+    """
+    step = h_p - h_m
+    if not step.all():
+        raise ConvergenceError(
+            "height step of the area stencil rounds to zero",
+            {"height": float(h_p[np.argmin(step), 0]), "step": _STENCIL_STEP * piece.scale},
+        )
+    lam, t = piece.scale, piece.offset
+    # Python floats overflow quietly to inf; the radius is at least |h - t|
+    a, b = piece.slab.h_minus, piece.slab.h_plus
+    if not max(abs(a - t), abs(b - t)) < math.inf:
+        raise ConvergenceError("radius of the catenoid overflows", {"scale": lam, "offset": t})
+    # |h - t|/lam capped at 1e3 (cosh overflows past 710), so it cannot overflow
+    u = np.minimum(np.maximum(np.abs(h_p - t), np.abs(h_m - t)), 1e3 * lam) / lam
+    log_cosh = float(np.logaddexp(u, -u).max()) - math.log(2.0)
+    if not max(log_cosh, math.log(lam) + log_cosh) < _LOG_HUGE:
+        raise ConvergenceError(
+            "radius of the catenoid overflows",
+            {"log_cosh": log_cosh, "log_radius": math.log(lam) + log_cosh},
+        )
+    r, r_p, r_m = _radius(piece, h), _radius(piece, h_p), _radius(piece, h_m)
+    # r_p*cos - r_m*cos differs from (r_p - r_m)*cos by an ulp of the radius,
+    # and is exactly 0 where r_p == r_m
+    rise = np.abs(r_p - r_m)
+    rise += (rise > 0.0) * (2.0**-52 * np.maximum(r_p, r_m))
+    log_slope = np.log(rise, out=np.full_like(rise, -np.inf), where=rise > 0.0) - np.log(step)
+    log_element = np.log(r) + np.logaddexp(0.0, log_slope)
+    # sum_i w_i * element_i: the sum itself takes n_theta terms a row, the
+    # result is 2 pi/n_theta of it (a weight may underflow to 0 on thin slabs)
+    log_w = np.log(w_h, out=np.full_like(w_h, -np.inf), where=w_h > 0.0)
+    log_sum = math.log(max(n_theta, TWO_PI)) + float(
+        np.logaddexp.reduce((log_w[:, None] + log_element).ravel())
+    )
+    log_peak = max(float(log_slope.max()), float(log_element.max()), log_sum)
+    if not log_peak < _LOG_HUGE:
+        raise ConvergenceError(
+            "area element overflows",
+            {"log_element": float(log_element.max()), "log_sum": log_sum},
+        )
+    return r, r_p, r_m, step
 
 
 def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
     """Area by tensor-product quadrature of the parameterization's area element.
 
     Gauss-Legendre in height times trapezoid in angle (spectrally accurate for
-    the periodic direction).  The area element is computed geometrically from
-    central differences of ``parameterize``, so this path shares no algebra
-    with the closed form in ``area_in_slab``.
+    the periodic direction).  The area element is |f_h x f_theta| for central
+    differences f_h, f_theta of the parameterization, taken on one
+    (n_height, n_theta) plane per vector component: f_h = (x_h, y_h, 1) and
+    f_theta = (x_theta, y_theta, 0), so the cross product is
+    (-y_theta, x_theta, x_h*y_theta - y_h*x_theta).  This is the same
+    geometric stencil as differencing ``parameterize`` point by point, and it
+    shares no algebra with the closed form in ``area_in_slab``.
+
+    Raises ConvergenceError, naming the cause in its residuals, where the
+    stencil cannot be taken in doubles: the height step rounds to zero (a
+    slab far from the origin on the scale of the catenoid), or the radius,
+    the area element or its weighted sum overflows.
     """
     if n_height < 2 or n_theta < 4:
         raise ValueError("quadrature needs n_height >= 2 and n_theta >= 4")
@@ -147,26 +229,50 @@ def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 
     hs, w_h = gauss_legendre(n_height, a, b)
     thetas = periodic_nodes(n_theta)
 
-    # heights as a column and angles as a row: parameterize broadcasts them,
-    # so each cosh is taken once per height and each cos/sin once per angle
-    hh, tt = hs[:, None], thetas[None, :]
+    # heights as a column and angles as a row, so each cosh is taken once per
+    # height and each cos/sin once per angle
+    h = hs[:, None]
     dh = _STENCIL_STEP * piece.scale
     # keep the height stencil inside the closed slab
-    hh_p = np.minimum(hh + dh, b)
-    hh_m = np.maximum(hh - dh, a)
+    h_p = np.minimum(h + dh, b)
+    h_m = np.maximum(h - dh, a)
+    r, r_p, r_m, step = _stencil_radii(piece, w_h, n_theta, h, h_p, h_m)
     dth = _STENCIL_STEP
-    f_h = (parameterize(piece, hh_p, tt) - parameterize(piece, hh_m, tt)) / (
-        (hh_p - hh_m)[..., None]
-    )
-    f_t = (
-        parameterize(piece, hh, tt + dth) - parameterize(piece, hh, tt - dth)
-    ) / (2.0 * dth)
-    cross = np.cross(f_h, f_t)
+    tt = thetas[None, :]
+    cos, sin = np.cos(tt), np.sin(tt)
+
+    # each difference as written for the stacked points, not factored, so
+    # every plane keeps its bits; f_h's z is step/step = 1 exactly, f_t's is 0
+    tmp = np.empty((n_height, n_theta))
+    x_h = np.multiply(r_p, cos)
+    x_h -= np.multiply(r_m, cos, out=tmp)
+    x_h /= step
+    y_h = np.multiply(r_p, sin)
+    y_h -= np.multiply(r_m, sin, out=tmp)
+    y_h /= step
+    x_t = np.multiply(r, np.cos(tt + dth))
+    x_t -= np.multiply(r, np.cos(tt - dth), out=tmp)
+    x_t /= 2.0 * dth
+    y_t = np.multiply(r, np.sin(tt + dth))
+    y_t -= np.multiply(r, np.sin(tt - dth), out=tmp)
+    y_t /= 2.0 * dth
+    # the cross product's z, in np.cross's operation order, into x_h
+    x_h *= y_t
+    x_h -= np.multiply(y_h, x_t, out=tmp)
+    normal_z = x_h
+
     # Square under a power-of-two scale (exact in binary): on thin catenoids
     # the components reach 1e286 while the area is still a finite double.
-    _, exp = np.frexp(np.max(np.abs(cross)))
-    element = np.ldexp(np.linalg.norm(np.ldexp(cross, -exp), axis=-1), exp)
-    return float((w_h[:, None] * element).sum() * (TWO_PI / n_theta))
+    peak = max(y_t.max(), -y_t.min(), x_t.max(), -x_t.min(), normal_z.max(), -normal_z.min())
+    _, exp = np.frexp(peak)
+    # |n|^2 = ((-y_t)^2 + x_t^2) + z^2, the order of norm's reduction
+    element = np.square(np.ldexp(y_t, -exp, out=y_t), out=y_t)
+    element += np.square(np.ldexp(x_t, -exp, out=x_t), out=x_t)
+    element += np.square(np.ldexp(normal_z, -exp, out=normal_z), out=normal_z)
+    np.sqrt(element, out=element)
+    np.ldexp(element, exp, out=element)
+    element *= w_h[:, None]
+    return float(element.sum() * (TWO_PI / n_theta))
 
 
 def boundary_length(piece: CatenoidPiece) -> float:

@@ -163,14 +163,18 @@ class ClosedCurve:
 
 def rayleigh_quotient(curve: ClosedCurve, f) -> float:
     """(Int |df/ds|^2 + kappa^2 f^2 ds) / (Int f^2 ds) for node samples ``f``,
-    taken on the curve's unit copy and scaled back."""
+    taken on the curve's unit copy and scaled back.  Any size of f is solved:
+    only an f that is all zero or not finite raises ValueError."""
     f = np.asarray(f, dtype=float)
     if f.shape != (len(curve),):
         raise ValueError("f must be sampled at the curve nodes")
+    peak = float(np.max(np.abs(f)))
+    if not (0.0 < peak < math.inf):  # NaN fails too
+        raise ValueError("f must be finite and not all zero")
+    # the quotient is homogeneous of degree 0 in f: bring max |f| into [1/2, 1)
+    f = np.ldexp(f, -math.frexp(peak)[1])
     sigma, kappa = curve._frame
     denom = float((f**2 * sigma).mean())
-    if denom < 1e-30:
-        raise ValueError("f is numerically zero")
     df_ds = fourier_derivative(f, period=1.0) / sigma
     numer = float(((df_ds**2 + kappa**2 * f**2) * sigma).mean())
     return float(np.ldexp(numer / denom, -4 * curve._q))

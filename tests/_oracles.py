@@ -10,7 +10,10 @@ cells of a dense residual grid, Laurent series from one complex power per
 term, level-length derivatives from 5-point stencils, Weierstrass flux
 vectors from loop integrals of directly evaluated g and h, the symmetric
 marginal piece's ends from Brent's method on h tanh h = 1, and the oval
-Galerkin matrices from Toeplitz matrices on complex Fourier modes.
+Galerkin matrices from Toeplitz matrices on complex Fourier modes.  The area
+quadrature's stencil is also kept here on stacked points (``np.cross`` and
+``np.linalg.norm``) as the bit-for-bit reference of the package's
+component-plane kernel.
 """
 
 import functools
@@ -23,7 +26,7 @@ from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
 from catslab.ovals import ClosedCurve
-from catslab.spectral import cumulative_integral, fourier_derivative
+from catslab.spectral import cumulative_integral, fourier_derivative, gauss_legendre, periodic_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +52,30 @@ def flux_line_integral(piece: CatenoidPiece, height: float, n: int = 256, step: 
         axis=-1,
     )
     return (conormal * ds[:, None]).mean(axis=0) * TWO_PI
+
+
+def area_by_stacked_stencil(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
+    """The quadrature of ``geometry.area_by_quadrature`` on stacked points:
+    central differences of ``parameterize`` as (n_height, n_theta, 3) arrays,
+    ``np.cross`` and ``np.linalg.norm``.  The same stencil on component planes
+    must give the same bits wherever this is finite."""
+    a, b = piece.slab.h_minus, piece.slab.h_plus
+    hs, w_h = gauss_legendre(n_height, a, b)
+    hh, tt = hs[:, None], periodic_nodes(n_theta)[None, :]
+    dh = 1e-5 * piece.scale
+    hh_p = np.minimum(hh + dh, b)
+    hh_m = np.maximum(hh - dh, a)
+    dth = 1e-5
+    f_h = (parameterize(piece, hh_p, tt) - parameterize(piece, hh_m, tt)) / (
+        (hh_p - hh_m)[..., None]
+    )
+    f_t = (
+        parameterize(piece, hh, tt + dth) - parameterize(piece, hh, tt - dth)
+    ) / (2.0 * dth)
+    cross = np.cross(f_h, f_t)
+    _, exp = np.frexp(np.max(np.abs(cross)))
+    element = np.ldexp(np.linalg.norm(np.ldexp(cross, -exp), axis=-1), exp)
+    return float((w_h[:, None] * element).sum() * (TWO_PI / n_theta))
 
 
 def circle_arclength(piece: CatenoidPiece, height: float, n: int = 512, step: float = 1e-6):

@@ -299,6 +299,17 @@ class TestCatenoidCommand:
         assert code == 4 and out == ""
         strict_json(err)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_slab_exits_4_naming_the_height_step(self, tmp_path, capsys):
+        # the closed form is 6.8336, but h +- 1e-5 rounds back to h near 1e12
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"scale": 1.0, "offset": 1e12 + 0.5, "slab": [1e12, 1e12 + 1]}))
+        code, out, err = run_cli(["catenoid", "--input", str(spec)], capsys)
+        assert code == 4 and out == ""
+        dump = strict_json(err)
+        assert "height step" in dump["error"]
+        assert dump["residuals"]["step"] == 1e-5
+
     @given(document=_DOCUMENTS["catenoid"])
     def test_any_document_exits_cleanly(self, tmp_path_factory, document):
         assert_exits_cleanly_and_repeats(tmp_path_factory, "catenoid", document)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import _oracles as orc
 from catslab import geometry as geo
+from catslab.errors import ConvergenceError
 from catslab.geometry import CatenoidPiece, Slab
 
 PI = math.pi
@@ -38,6 +39,11 @@ class TestSlab:
             CatenoidPiece(-1.0, 0.0, CANON)
         with pytest.raises(ValueError):
             CatenoidPiece(0.0, 0.0, CANON)
+
+    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (1e308, 1.7e308), (-1.7e308, -1e308)])
+    def test_height_and_midpoint_must_be_finite(self, ends):
+        with pytest.raises(ValueError, match="finite"):
+            Slab(*ends)
 
 
 class TestParameterize:
@@ -105,6 +111,114 @@ class TestArea:
         piece = CatenoidPiece(0.9, 1.2, Slab(0.3, 2.1))
         quad = geo.area_by_quadrature(piece)
         assert geo.area_in_slab(piece) == pytest.approx(quad, rel=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadrature_refuses_a_zero_height_step(self):
+        # h +- 1e-5 rounds back to h at 1e12, where the closed form is finite
+        piece = CatenoidPiece(1.0, 1e12 + 0.5, Slab(1e12, 1e12 + 1.0))
+        assert geo.area_in_slab(piece) == pytest.approx(6.8336, rel=1e-4)
+        with pytest.raises(ConvergenceError, match="height step") as err:
+            geo.area_by_quadrature(piece)
+        assert err.value.residuals["step"] == 1e-5
+        assert 1e12 <= err.value.residuals["height"] <= 1e12 + 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadrature_refuses_an_overflowing_radius(self):
+        piece = CatenoidPiece(0.0131, -0.0164, Slab(-0.079, 88.85))
+        assert geo.area_in_slab(piece) == math.inf
+        with pytest.raises(ConvergenceError, match="radius") as err:
+            geo.area_by_quadrature(piece)
+        assert err.value.residuals["log_radius"] > 709.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadrature_refuses_an_overflowing_element(self):
+        # the radius stays near 1e153, but the element lam*cosh^2 leaves the
+        # doubles on the outer rows
+        piece = CatenoidPiece(0.01, 0.0, Slab(-3.59, 3.59))
+        assert 0.01 * math.cosh(359.0) < 1e154
+        with pytest.raises(ConvergenceError, match="area element") as err:
+            geo.area_by_quadrature(piece)
+        assert err.value.residuals["log_element"] > 709.0
+
+    def test_closed_form_where_a_square_leaves_the_doubles(self):
+        # lam^2 underflows against an infinite cosh*sinh: the area overflows
+        assert geo.area_in_slab(CatenoidPiece(1e-170, 0.0, CANON)) == math.inf
+        # c^2 underflows against an infinite lam^2: a thin band 2 pi * scale * height
+        thin = CatenoidPiece(1.0, 0.0, Slab(0.0, 1e-162))
+        assert geo.area_in_slab(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-12)
+        assert geo.area_by_quadrature(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-8)
+
+
+def _quadrature_corpus(count, seed):
+    """Pieces for the bit-identity check: three in four with log-uniform scale
+    in [3e-3, 1e3], offsets and general slabs (many overflow), one in four
+    thin catenoids on [-1, 1] whose area element reaches 1e286; grids
+    (2, 4), (17, 33), (64, 256) and (128, 512) in the ratio 3:2:2:1."""
+    rng = np.random.default_rng(seed)
+    grids = [(2, 4)] * 3 + [(17, 33)] * 2 + [(64, 256)] * 2 + [(128, 512)]
+    for i in range(count):
+        if i % 4 == 3:
+            scale = float(np.exp(rng.uniform(np.log(3e-3), np.log(6e-3))))
+            piece = CatenoidPiece(scale, float(rng.uniform(-0.05, 0.05)), CANON)
+        else:
+            scale = float(np.exp(rng.uniform(np.log(3e-3), np.log(1e3))))
+            lo = float(rng.uniform(-5.0, 5.0))
+            slab = Slab(lo, lo + float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))))
+            piece = CatenoidPiece(scale, float(rng.uniform(-5.0, 5.0)), slab)
+        yield piece, grids[i % len(grids)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_bits_match_the_stacked_stencil():
+    # the component-plane kernel against the same stencil on stacked points:
+    # equal bits wherever the stacked result is finite, a refusal elsewhere
+    finite = 0
+    for piece, grid in _quadrature_corpus(1024, seed=2024):
+        with np.errstate(all="ignore"):
+            stacked = orc.area_by_stacked_stencil(piece, *grid)
+        if math.isfinite(stacked):
+            assert geo.area_by_quadrature(piece, *grid) == stacked, (piece, grid)
+            finite += 1
+        else:
+            with pytest.raises(ConvergenceError):
+                geo.area_by_quadrature(piece, *grid)
+    assert 600 <= finite < 1024  # both branches are exercised
+
+
+def _magnitudes():
+    """Log-uniform magnitudes from 1e-3 to 1e3 and from 1e-300 to 1e300."""
+    return (st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
+
+
+def _signed():
+    return st.just(0.0) | st.tuples(_magnitudes(), st.sampled_from([1.0, -1.0])).map(
+        lambda mt: mt[0] * mt[1]
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    scale=_magnitudes(), offset=_signed(), low=_signed(), height=_magnitudes(),
+    grid=st.sampled_from([(2, 4), (17, 33), (64, 256)]),
+)
+@example(scale=1.0, offset=1e12 + 0.5, low=1e12, height=1.0, grid=(64, 256))
+@example(scale=0.0131, offset=-0.0164, low=-0.079, height=88.929, grid=(64, 256))
+@example(scale=1e-170, offset=0.0, low=-1.0, height=2.0, grid=(64, 256))
+@example(scale=1.0, offset=0.0, low=0.0, height=1e-162, grid=(2, 4))
+def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, grid):
+    # finite, or +inf from the closed form where it overflows; otherwise a
+    # ConvergenceError or ValueError; never NaN and never a warning
+    try:
+        piece = CatenoidPiece(scale, offset, Slab(low, low + height))
+    except ValueError:
+        assume(False)
+    for area in (geo.area_in_slab, lambda p: geo.area_by_quadrature(p, *grid)):
+        try:
+            value = area(piece)
+        except (ConvergenceError, ValueError):
+            continue
+        assert value >= 0.0
+        assert math.isfinite(value) or (area is geo.area_in_slab and value == math.inf)
 
 
 class TestBoundaryAndLevels:

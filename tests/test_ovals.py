@@ -127,9 +127,21 @@ class TestRayleighQuotient:
             ov.rayleigh_quotient(curve, f), rel=1e-12
         )
 
+    @pytest.mark.parametrize("size", [1e-16, 1e-200, 1e-320, 1e300])
+    def test_any_size_of_f(self, size):
+        # homogeneous of degree 0 in f: only a zero f is refused
+        rq = ov.rayleigh_quotient(ClosedCurve.circle(1.0, 64), size * np.ones(64))
+        assert rq == pytest.approx(1.0, rel=1e-12)
+
     def test_zero_function_rejected(self):
+        circle = ClosedCurve.circle(1.0, 64)
         with pytest.raises(ValueError):
-            ov.rayleigh_quotient(ClosedCurve.circle(1.0, 64), np.zeros(64))
+            ov.rayleigh_quotient(circle, np.zeros(64))
+        for bad in (math.nan, math.inf):
+            f = np.ones(64)
+            f[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ov.rayleigh_quotient(circle, f)
 
 
 class TestLowestEigenvalue:
