@@ -215,8 +215,9 @@ def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 
     (n_height, n_theta) plane per vector component: f_h = (x_h, y_h, 1) and
     f_theta = (x_theta, y_theta, 0), so the cross product is
     (-y_theta, x_theta, x_h*y_theta - y_h*x_theta).  This is the same
-    geometric stencil as differencing ``parameterize`` point by point, and it
-    shares no algebra with the closed form in ``area_in_slab``.
+    geometric stencil as differencing the parameterization point by point at
+    h +- 1e-5 scale (past the slab ends for nodes that near), and it shares no
+    algebra with the closed form in ``area_in_slab``.
 
     Raises ConvergenceError, naming the cause in its residuals, where the
     stencil cannot be taken in doubles: the height step rounds to zero (a
@@ -232,10 +233,11 @@ def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 
     # heights as a column and angles as a row, so each cosh is taken once per
     # height and each cos/sin once per angle
     h = hs[:, None]
+    # The radius is defined at every height, so the stencil is central at
+    # every node: clipped to the slab, it would difference two radii that
+    # agree to a few ulps on slabs much thinner than the step.
     dh = _STENCIL_STEP * piece.scale
-    # keep the height stencil inside the closed slab
-    h_p = np.minimum(h + dh, b)
-    h_m = np.maximum(h - dh, a)
+    h_p, h_m = h + dh, h - dh
     r, r_p, r_m, step = _stencil_radii(piece, w_h, n_theta, h, h_p, h_m)
     dth = _STENCIL_STEP
     tt = thetas[None, :]

@@ -16,15 +16,25 @@ sqrt(2) sin 2 pi k u, k = 1..K (the span of e^{2 pi i j u}, |j| <= K), the
 problem is the real symmetric A c = lambda M c, with A the stiffness form of
 1/sigma plus the mass form of kappa^2 sigma and M the mass form of sigma,
 where sigma = |c'(u)|.  Each form is Toeplitz plus Hankel in the Fourier
-coefficients of its weight, taken once per FFT grid.  lambda1 is the
-Rayleigh quotient of the computed lowest eigenvector.  K doubles from 16
+coefficients of its weight, taken once per FFT grid.  K doubles from 16
 until lambda1 moves by less than ``rtol``; ``n_used`` reports the 2K + 1
-modes of the accepted level.  Each level must satisfy lambda1 >= min kappa^2
-(as -d^2/ds^2 >= 0) and functional >= 1/2, otherwise ResolutionError is
-raised.  ``ClosedCurve`` keeps the exactly scaled unit-size copy c / 4^q of
-its points (4^q near max |c|), and every derived quantity comes from it, so
-any curve whose size is a normal double is solved as the unit-size curve is;
-a failure reports the unit copy's residuals, with ``log4_scale`` = q.
+modes of the accepted level.  The first level (33 modes) is one dense
+generalized eigensolve.  Every finer level refines the level below: its
+eigenvector, padded with zeros into the new modes, goes through inverse
+iteration at a fixed shift s below lambda1, and a Cholesky factor of A - s M
+is the certificate that s is below lambda1 (Sylvester's inertia).  A second
+factor just below the converged Rayleigh quotient certifies that quotient as
+lambda1 and not a higher eigenvalue that the padded vector happened to lie
+on.  So a level costs two factorizations (more where the first shift
+retreats) instead of a dense eigensolve, and a level that fails the
+certificate is solved densely.
+lambda1 is the Rayleigh quotient of the level's eigenvector.  Each level must
+satisfy lambda1 >= min kappa^2 (as -d^2/ds^2 >= 0) and functional >= 1/2,
+otherwise ResolutionError is raised.  ``ClosedCurve`` keeps the exactly
+scaled unit-size copy c / 4^q of its points (4^q near max |c|), and every
+derived quantity comes from it, so any curve whose size is a normal double
+is solved as the unit-size curve is; a failure reports the unit copy's
+residuals, with ``log4_scale`` = q.
 
 Curvature of a space curve here is the full curvature |T'(s)|; planar curves
 are the special case.  No generator for the known extremal (degenerating oval)
@@ -36,8 +46,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,29 +263,132 @@ def _galerkin_matrices(coef: np.ndarray, K: int):
     return A, M
 
 
-def _galerkin_level(coef: np.ndarray, K: int):
-    """Lowest eigenvalue on the 2K + 1 real modes 1, cos 2 pi k u, sin 2 pi k u
-    in the curve's own parameter u: (eigensolver value, Rayleigh quotient of
-    its eigenvector).
+class _Level(NamedTuple):
+    """One rung of the ladder: the solver's own eigenvalue, the Rayleigh
+    quotient of its eigenvector, that vector, and for a refined level the
+    Cholesky-certified shift below lambda1 and the number of shifted solves
+    (nan and 0 on the dense first level)."""
+
+    lambda1: float
+    rayleigh_quotient: float
+    vector: np.ndarray | None
+    shift: float
+    iterations: int
+
+
+_NO_LEVEL = _Level(math.nan, math.nan, None, math.nan, 0)
+# A refined level's first shift lies this far below the coarser eigenvalue,
+# relatively; later levels take twice the coarser level's own relative change.
+# No margin is below _CERTIFY, and a shift that does not factor is lowered by
+# _RETREAT times its margin until the margin passes 1 (a negative shift).
+# _CERTIFY is also the relative distance below the converged Rayleigh quotient
+# at which its certificate is factored: at lambda1 (1 - 1e-12) these matrices
+# factor and at lambda1 (1 + 1e-12) they do not, up to 2049 modes, except a
+# 100:1 ellipse's, which still factors at lambda1 (1 + 1e-13).
+_FIRST_MARGIN, _RETREAT, _CERTIFY = 1e-3, 4.0, 1e-10
+_MAX_ITERATIONS = 32  # shifted solves per level; reaching it is a failure
+
+
+def _cholesky(A, M, shift):
+    """Cholesky factor of A - shift M, or None where that is not positive
+    definite."""
+    from scipy.linalg import cho_factor
+
+    S = M * -shift
+    S += A
+    try:  # S is symmetric: its transpose is the Fortran order LAPACK factors in place
+        return cho_factor(S.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _inverse_iteration(A, M, factor, shift, x, Mx, rq, budget):
+    """Up to ``budget`` steps x <- (A - shift M)^-1 M x from x (Mx = M @ x,
+    rq its Rayleigh quotient), stopping once the Rayleigh quotient no longer
+    decreases, i.e. stalls at round-off.  Returns the level's own value
+    shift + x'Mx / x'M(A - shift M)^-1 Mx, the Rayleigh quotient, x, Mx and
+    the number of solves (``budget`` if it never stalled)."""
+    from scipy.linalg import cho_solve
+
+    raw = math.nan
+    for solves in range(1, budget + 1):
+        y = cho_solve(factor, Mx, check_finite=False)
+        raw = shift + float((x @ Mx) / (Mx @ y))
+        My = M @ y
+        yMy = float(y @ My)
+        rq_y = float((y @ A @ y) / yMy)
+        if not rq_y < rq:  # stalled: x is the better vector
+            return raw, rq, x, Mx, solves
+        scale = 1.0 / math.sqrt(yMy)  # keep x'Mx near 1 against overflow
+        x, Mx, rq = y * scale, My * scale, rq_y
+    return raw, rq, x, Mx, budget
+
+
+def _galerkin_level(coef: np.ndarray, K: int, coarse: _Level | None = None,
+                    margin: float = _FIRST_MARGIN) -> _Level:
+    """Lowest eigenpair on the 2K + 1 real modes 1, cos 2 pi k u, sin 2 pi k u
+    in the curve's own parameter u.
 
     The weak form Int (f_u^2 / sigma + kappa^2 sigma f^2) du against
     Int sigma f^2 du, sigma = |c'(u)|, gives the real symmetric A c = lambda M c
     of ``_galerkin_matrices``; ``coef`` must come from a grid P >= 8K, so no
     index up to 2K aliases.
+
+    Without a ``coarse`` level (K = 16) a dense generalized eigensolve gives
+    the pair.  With the K/2 level's pair, its vector padded with zeros into
+    the new modes is refined by inverse iteration at a fixed shift s (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 4).  s starts ``margin`` below the
+    coarse eigenvalue, relatively, and retreats until A - s M has a Cholesky
+    factor, which certifies s < lambda1 of this level (Sylvester's inertia; A
+    >= 0 and M > 0, so any s < 0 factors).  The iteration then converges to
+    the lowest eigenvalue that the start vector reaches, which is lambda1
+    unless the coarse vector lacks its mode: under-resolved sharp curves can
+    swap the order of symmetry classes between levels.  So a second factor at
+    s = rq (1 - _CERTIFY), rq the converged Rayleigh quotient, certifies rq as
+    lambda1 to that distance, and a second iteration from it, whose
+    convergence factor is at most _CERTIFY rq / (lambda2 - s), ends at
+    round-off.  Should that shift not factor, the level is solved densely.
+    The first iteration may take half of _MAX_ITERATIONS solves, the second
+    the rest.
     """
     from scipy.linalg import eigh  # about 0.3 s; loaded on the first solve
 
     A, M = _galerkin_matrices(coef, K)
+    # The Rayleigh quotient of a computed eigenvector is exact to second order
+    # in its error and sums terms that decay with the mode amplitudes, so it
+    # sits far below the solver's own relative round-off floor, which grows
+    # with |A| / lambda1 and reaches 1e-8 on 30:1 ellipses.
+    shift, iterations = math.nan, 0
+    if coarse is not None:
+        lam_c, Kc = coarse.rayleigh_quotient, K // 2
+        x = np.zeros(2 * K + 1)
+        x[: Kc + 1] = coarse.vector[: Kc + 1]
+        x[K + 1 : K + 1 + Kc] = coarse.vector[Kc + 1 :]
+        while True:
+            shift = lam_c * (1.0 - margin)
+            factor = _cholesky(A, M, shift)
+            if factor is not None:
+                break
+            if margin > 1.0:  # a negative shift failed: the matrices are broken
+                return _Level(math.nan, math.nan, None, shift, 0)
+            margin *= _RETREAT
+        Mx = M @ x
+        rq = float((x @ A @ x) / (x @ Mx))
+        raw, rq, x, Mx, iterations = _inverse_iteration(
+            A, M, factor, shift, x, Mx, rq, _MAX_ITERATIONS // 2)
+        certified = rq * (1.0 - _CERTIFY)
+        factor = _cholesky(A, M, certified)
+        if factor is not None:
+            raw, rq, x, Mx, more = _inverse_iteration(
+                A, M, factor, certified, x, Mx, rq, _MAX_ITERATIONS - iterations)
+            return _Level(raw, rq, x, certified, iterations + more)
+        # lambda1 lies below rq: the iteration stalled on a higher eigenvalue
     try:
         lam, vec = eigh(A, M, subset_by_index=(0, 0))
     except np.linalg.LinAlgError:
-        return math.nan, math.nan
-    # The Rayleigh quotient of the computed eigenvector is exact to second
-    # order in its error and sums terms that decay with the mode amplitudes, so
-    # it sits far below the eigensolver's relative round-off floor, which
-    # grows with |A| / lambda1 and reaches 1e-8 on 30:1 ellipses.
+        return _Level(math.nan, math.nan, None, shift, iterations)
     vec = vec[:, 0]
-    return float(lam[0]), float((vec @ A @ vec) / (vec @ M @ vec))
+    return _Level(float(lam[0]), float((vec @ A @ vec) / (vec @ M @ vec)), vec, shift, iterations)
 
 
 def _rescaled(name: str, value: float, exponent: int, residuals: dict) -> float:
@@ -295,33 +410,47 @@ def lowest_eigenvalue(
 
     Fourier-Galerkin (Hill's method) in the curve's own parameter: K = 16
     modes each way at first, doubled until the eigenvalue moves by less than
-    ``rtol`` relatively; raises once 2K would exceed ``max_n``.  Every level
-    is checked against the invariants lambda1 >= min kappa^2 (on the
-    eigensolver's own value: the Rayleigh quotient is an upper bound and
-    would hide a broken solve) and functional >= 1/2, and a violation raises
-    ResolutionError, as does a lambda1 or L that is not a normal double once
-    scaled back.  The residuals of a failure are those of the curve's unit
-    copy c / 4^log4_scale.
+    ``rtol`` relatively; raises once 2K would exceed ``max_n``.  Each finer
+    level refines the one below by certified shift-and-invert
+    (``_galerkin_level``).  Every level is checked against the invariants
+    lambda1 >= min kappa^2 (on the solver's own value: the Rayleigh quotient
+    is an upper bound and would hide a broken solve) and functional >= 1/2,
+    and a violation raises ResolutionError, as does a refinement that does
+    not stall within _MAX_ITERATIONS solves and a lambda1 or L that is not a
+    normal double once scaled back.  The residuals of a failure are those of
+    the curve's unit copy c / 4^log4_scale, with the level's certified
+    ``shift`` and its ``iterations``.  ValueError unless ``rtol`` is a
+    positive finite float and ``max_n`` an int of at least 64.
     """
+    if not (isinstance(rtol, float) and 0.0 < rtol < math.inf):
+        raise ValueError(f"rtol must be a positive finite float, got {rtol!r}")
+    try:
+        max_n = operator.index(max_n)
+    except TypeError:
+        raise ValueError(f"max_n must be an int, got {max_n!r}") from None
     if max_n < 64:
         raise ValueError("max_n must allow two levels (K = 16 and 32)")
     # Solve on the unit copy c / 4^q: every step is then exact in the power of
     # two, Cholesky's square root included, so the scaled solve is the
     # unscaled one bit for bit where that stays in range.
     q, points = curve._q, curve._unit
-    K, lam_prev, P_prev = 16, math.nan, 0
+    K, lam_prev, P_prev, level, margin = 16, math.nan, 0, None, _FIRST_MARGIN
     while 2 * K <= max_n:
         n_used = 2 * K + 1
         P = 1 << (max(8 * K, 2 * len(curve)) - 1).bit_length()
         if P != P_prev:  # one weight FFT per grid; the levels slice it
             coef, L, kappa2_min = _weight_coefficients(points, P)
             P_prev = P
-        raw, lam = (math.nan, math.nan) if coef is None else _galerkin_level(coef, K)
+        level = _NO_LEVEL if coef is None else _galerkin_level(coef, K, level, margin)
+        raw, lam = level.lambda1, level.rayleigh_quotient
         functional = L * L * lam / TWO_PI**2
         residuals = {"lambda1": raw, "rayleigh_quotient": lam, "min_kappa2": kappa2_min,
-                     "functional": functional, "length": L, "n": n_used, "log4_scale": q}
+                     "functional": functional, "length": L, "n": n_used, "log4_scale": q,
+                     "shift": level.shift, "iterations": level.iterations}
         failure = None
-        if not (math.isfinite(raw) and math.isfinite(lam)):
+        if level.iterations >= _MAX_ITERATIONS:
+            failure = "inverse iteration did not stall at round-off"
+        elif not (math.isfinite(raw) and math.isfinite(lam)):
             failure = "eigenvalue is not finite"
         elif not (raw >= kappa2_min * (1.0 - rtol)):  # -d^2/ds^2 >= 0
             failure = "eigenvalue below min kappa^2"
@@ -341,6 +470,8 @@ def lowest_eigenvalue(
                     "beyond its relative error %.3g", functional, spec.rel_error,
                 )
             return spec
+        if not math.isnan(change):  # the next drop is expected below this one
+            margin = max(2.0 * change, _CERTIFY)
         K, lam_prev = 2 * K, lam
     raise ResolutionError(
         "eigenvalue did not converge across refinements",

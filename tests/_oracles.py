@@ -9,8 +9,10 @@ package's Galerkin solver does not need), solution counts from sign-change
 cells of a dense residual grid, Laurent series from one complex power per
 term, level-length derivatives from 5-point stencils, Weierstrass flux
 vectors from loop integrals of directly evaluated g and h, the symmetric
-marginal piece's ends from Brent's method on h tanh h = 1, and the oval
-Galerkin matrices from Toeplitz matrices on complex Fourier modes.  The area
+marginal piece's ends from Brent's method on h tanh h = 1, the oval
+Galerkin matrices from Toeplitz matrices on complex Fourier modes, and each
+oval level's eigenvalue from a dense generalized eigensolve instead of the
+package's certified inverse iteration.  The area
 quadrature's stencil is also kept here on stacked points (``np.cross`` and
 ``np.linalg.norm``) as the bit-for-bit reference of the package's
 component-plane kernel.
@@ -25,7 +27,7 @@ from scipy.optimize import brentq
 from scipy.signal import resample as trig_resample
 
 from catslab.geometry import CatenoidPiece, parameterize
-from catslab.ovals import ClosedCurve
+from catslab.ovals import ClosedCurve, _galerkin_matrices
 from catslab.spectral import cumulative_integral, fourier_derivative, gauss_legendre, periodic_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -56,22 +58,22 @@ def flux_line_integral(piece: CatenoidPiece, height: float, n: int = 256, step: 
 
 def area_by_stacked_stencil(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
     """The quadrature of ``geometry.area_by_quadrature`` on stacked points:
-    central differences of ``parameterize`` as (n_height, n_theta, 3) arrays,
-    ``np.cross`` and ``np.linalg.norm``.  The same stencil on component planes
-    must give the same bits wherever this is finite."""
-    a, b = piece.slab.h_minus, piece.slab.h_plus
-    hs, w_h = gauss_legendre(n_height, a, b)
+    central differences of the parameterization as (n_height, n_theta, 3)
+    arrays, at h +- 1e-5 scale even where that leaves the slab, ``np.cross``
+    and ``np.linalg.norm``.  The same stencil on component planes must give
+    the same bits wherever this is finite."""
+    hs, w_h = gauss_legendre(n_height, piece.slab.h_minus, piece.slab.h_plus)
     hh, tt = hs[:, None], periodic_nodes(n_theta)[None, :]
     dh = 1e-5 * piece.scale
-    hh_p = np.minimum(hh + dh, b)
-    hh_m = np.maximum(hh - dh, a)
+    hh_p, hh_m = hh + dh, hh - dh  # central at every node, past the slab ends too
     dth = 1e-5
-    f_h = (parameterize(piece, hh_p, tt) - parameterize(piece, hh_m, tt)) / (
-        (hh_p - hh_m)[..., None]
-    )
-    f_t = (
-        parameterize(piece, hh, tt + dth) - parameterize(piece, hh, tt - dth)
-    ) / (2.0 * dth)
+
+    def points(h, theta):  # ``parameterize`` without its slab check
+        r = piece.scale * np.cosh((h - piece.offset) / piece.scale)
+        return np.stack(np.broadcast_arrays(r * np.cos(theta), r * np.sin(theta), h), axis=-1)
+
+    f_h = (points(hh_p, tt) - points(hh_m, tt)) / ((hh_p - hh_m)[..., None])
+    f_t = (points(hh, tt + dth) - points(hh, tt - dth)) / (2.0 * dth)
     cross = np.cross(f_h, f_t)
     _, exp = np.frexp(np.max(np.abs(cross)))
     element = np.ldexp(np.linalg.norm(np.ldexp(cross, -exp), axis=-1), exp)
@@ -290,6 +292,15 @@ def complex_galerkin_lambda1(coef: np.ndarray, K: int) -> float:
     A, M = complex_galerkin_matrices(coef, K)
     vec = eigh(A, M, subset_by_index=(0, 0))[1][:, 0]
     return float((vec.conj() @ A @ vec).real / (vec.conj() @ M @ vec).real)
+
+
+def dense_galerkin_lambda1(coef: np.ndarray, K: int) -> float:
+    """Rayleigh quotient of the lowest eigenvector of the package's real
+    Galerkin matrices (``ovals._galerkin_matrices``) by one dense generalized
+    eigensolve: the reference for every level of the refinement ladder."""
+    A, M = _galerkin_matrices(coef, K)
+    vec = eigh(A, M, subset_by_index=(0, 0))[1][:, 0]
+    return float((vec @ A @ vec) / (vec @ M @ vec))
 
 
 def spanning_count_grid(lower, upper, slab, n_lam=400, n_c=400):

@@ -1,9 +1,12 @@
 import os
 
 # One BLAS thread for every in-process solve, set before numpy loads: the last
-# digit of the oval eigensolve depends on the thread count (the oval goldens
-# pin the one-thread digits), and two threads made the dense solves 3-4x
-# slower on a loaded 2-core machine.
+# bits of the oval solve depend on the thread count.  Of 300 oval_corpus
+# inputs, 142 gave a different full-precision lambda1 under two OpenBLAS
+# threads than under one (at most 2.5e-15 relative, 24 of them within the 15
+# printed digits; n_used the same), although the three oval goldens print the
+# same under both.  Two threads also made the dense solves 3-4x slower on a
+# loaded 2-core machine.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -3,11 +3,12 @@
 Every exit-0 configuration of ``test_cli.py``, the two threshold sweeps and the
 CSV projections of the nested lambda0 and catenoid payloads are run in-process
 and their stdout compared with ``tests/golden/<name>.<format>``.
-The oval solver's dense generalized eigensolve runs through BLAS, whose last
-bits depend on its thread count (``oval_ellipse`` prints lambda1 ending in
-...226 with one thread and with two, but other ellipses differ at full
-precision), so the oval cases run in a child process with one BLAS thread.  A change that moves a digit must say which and
-why, then re-record with
+The oval solver's factorizations, solves and products run through BLAS, whose
+last bits depend on its thread count: the three oval goldens print the same
+under one and two OpenBLAS threads, but 24 of 300 oval_corpus inputs print a
+different lambda1 (142 differ at full precision).  So the oval cases run in a
+child process with one BLAS thread.  A change that moves a digit must say
+which and why, then re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """

@@ -148,6 +148,18 @@ class TestArea:
         assert geo.area_in_slab(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-12)
         assert geo.area_by_quadrature(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-8)
 
+    @pytest.mark.parametrize("height", [1e-9, 1e-12, 1e-14])
+    def test_quadrature_on_slabs_thinner_than_its_step(self, height):
+        # the height stencil stays central past the slab ends, so the radial
+        # slope is not a difference of radii that agree to a few ulps
+        mpmath = pytest.importorskip("mpmath")
+        piece = CatenoidPiece(1.0, 0.0, Slab(5.0, 5.0 + height))
+        b = mpmath.mpf(5.0 + height)  # the slab end as the double it is
+        with mpmath.mp.workdps(40):
+            exact = 2 * mpmath.pi * mpmath.quad(lambda z: mpmath.cosh(z) ** 2, [5, b])
+            rel = abs(geo.area_by_quadrature(piece) / exact - 1)
+        assert rel <= 1e-10
+
 
 def _quadrature_corpus(count, seed):
     """Pieces for the bit-identity check: three in four with log-uniform scale

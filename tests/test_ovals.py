@@ -263,6 +263,126 @@ class TestRealGalerkin:
         assert max(n_used) == 513
 
 
+def _record_ladder(monkeypatch):
+    """Record every level of ``lowest_eigenvalue`` as (coef, K, level) and
+    every Cholesky attempt as (K, shift, factored)."""
+    levels, factors = [], []
+    galerkin_level, cholesky = ov._galerkin_level, ov._cholesky
+
+    def level(coef, K, *args):
+        out = galerkin_level(coef, K, *args)
+        levels.append((coef, K, out))
+        return out
+
+    def factor(A, M, shift):
+        out = cholesky(A, M, shift)
+        factors.append((len(A) // 2, shift, out is not None))
+        return out
+
+    monkeypatch.setattr(ov, "_galerkin_level", level)
+    monkeypatch.setattr(ov, "_cholesky", factor)
+    return levels, factors
+
+
+_LADDER_CURVES = {
+    "circle": ClosedCurve.circle(1.0, 512),
+    "ellipse-1.5": ClosedCurve.ellipse(1.5, 1.0, 256),
+    "ellipse-7": ClosedCurve.ellipse(7.0, 1.0, 256),
+    "polygon-3": ClosedCurve.rounded_polygon(3, 0.15, 512),
+    "polygon-8": ClosedCurve.rounded_polygon(8, 0.3, 512),
+    "planar": ClosedCurve.random_fourier(np.random.default_rng(5), amplitude=0.25, planar=True),
+    "space": ClosedCurve.random_fourier(np.random.default_rng(6), amplitude=0.1),
+    "ellipse-20": ClosedCurve.ellipse(20.0, 1.0, 1024),
+    "ellipse-50": ClosedCurve.ellipse(50.0, 1.0, 1024),
+    "triangle-0.06": ClosedCurve.rounded_polygon(3, 0.06, 512),
+}
+
+
+class TestRefinement:
+    """Every level of the ladder against one dense solve of its matrices
+    (``_oracles.dense_galerkin_lambda1``): the refined levels come from
+    shift-and-invert at a Cholesky-certified shift."""
+
+    @pytest.mark.parametrize("name", list(_LADDER_CURVES))
+    def test_every_level_matches_the_dense_solve(self, monkeypatch, name):
+        levels, _ = _record_ladder(monkeypatch)
+        ov.lowest_eigenvalue(_LADDER_CURVES[name])
+        assert len(levels) >= 2
+        for coef, K, level in levels:
+            oracle = orc.dense_galerkin_lambda1(coef, K)
+            assert level.rayleigh_quotient == pytest.approx(oracle, rel=1e-12), K
+            if K > 16:  # the certified shift lies below lambda1
+                assert level.shift < oracle and level.shift < level.rayleigh_quotient
+
+    def test_a_large_drop_retreats_the_shift(self, monkeypatch):
+        # lambda1 of this triangle drops by 1.2 % from 33 to 65 modes, past
+        # the first margin 1e-3: the first shifts do not factor
+        _, factors = _record_ladder(monkeypatch)
+        ov.lowest_eigenvalue(_LADDER_CURVES["triangle-0.06"])
+        first = [ok for K, _, ok in factors if K == 32]
+        assert first[0] is False and first[-1] is True
+
+    def test_a_missed_mode_falls_back_to_the_dense_solve(self, monkeypatch):
+        # At 33 modes this sharp triangle's lowest eigenvector lies in the
+        # symmetry class of the 65-mode second one, so the padded vector has
+        # no component along the 65-mode lambda1 and the iteration stalls on
+        # lambda2.  The certificate just below it does not factor, and the
+        # level is solved densely.
+        levels, factors = _record_ladder(monkeypatch)
+        with pytest.raises(ResolutionError, match="did not converge"):
+            ov.lowest_eigenvalue(ClosedCurve.rounded_polygon(3, 0.022, 512), max_n=128)
+        at_65 = [(shift, ok) for K, shift, ok in factors if K == 32]
+        lowest_factored = min(shift for shift, ok in at_65 if ok)
+        assert any(not ok and shift > lowest_factored for shift, ok in at_65)
+        for coef, K, level in levels:
+            assert level.rayleigh_quotient == pytest.approx(
+                orc.dense_galerkin_lambda1(coef, K), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rtol": math.nan}, {"rtol": 0.0}, {"rtol": -1e-8}, {"rtol": math.inf},
+         {"rtol": "1e-8"}, {"max_n": 64.5}, {"max_n": "64"}, {"max_n": 32}],
+    )
+    def test_arguments_checked_before_any_solve(self, monkeypatch, kwargs):
+        def no_solve(*args):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(ov, "_galerkin_level", no_solve)
+        with pytest.raises(ValueError):
+            ov.lowest_eigenvalue(ClosedCurve.circle(1.0, 64), **kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    kind=st.sampled_from(["ellipse", "polygon", "fourier"]),
+    shape=st.floats(0.0, 1.0),
+    log10_size=st.floats(-160.0, 160.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_returns_in_range_values_or_refuses(kind, shape, log10_size, seed):
+    # ellipses of aspect 1 to 1000, rounded polygons of rounding 0.04 to 0.3
+    # and random-Fourier curves of amplitude 0.05 to 0.5, at sizes 1e-160 to
+    # 1e160: finite values in range, or ResolutionError or ValueError; never
+    # NaN, a warning, or a LinAlgError, ZeroDivisionError or OverflowError
+    rng = np.random.default_rng(seed)
+    if kind == "ellipse":
+        base = ClosedCurve.ellipse(1000.0**shape, 1.0, 256)
+    elif kind == "polygon":
+        base = ClosedCurve.rounded_polygon(int(rng.integers(3, 9)), 0.04 + 0.26 * shape, 512)
+    else:
+        base = ClosedCurve.random_fourier(rng, amplitude=0.05 + 0.45 * shape, planar=seed % 2 == 1)
+    rtol = 1e-8
+    try:
+        curve = ClosedCurve(base.points * 10.0**log10_size)
+        spec = ov.lowest_eigenvalue(curve, rtol=rtol)
+    except (ResolutionError, ValueError):
+        return
+    assert all(map(math.isfinite, (spec.lambda1, spec.functional, spec.length)))
+    assert spec.functional >= 0.5
+    assert spec.lambda1 >= float(np.min(curve.curvature**2)) * (1.0 - rtol)
+    assert spec.length > 0.0 and spec.rel_error >= rtol
+
+
 class TestScale:
     def test_circles_across_the_double_range(self):
         for e in range(-150, 151):
