@@ -207,7 +207,7 @@ def _run_lambda0():
     return payload, None
 
 
-def _run_catenoid(doc, *, area_rtol, n_height, n_theta):
+def _run_catenoid(doc, *, area_rtol, n_height):
     _require_keys(doc, {"scale", "offset", "slab"}, "catenoid input")
     try:
         piece = geometry.CatenoidPiece(
@@ -220,7 +220,7 @@ def _run_catenoid(doc, *, area_rtol, n_height, n_theta):
         raise ConvergenceError(
             "closed-form area overflows", {"scale": piece.scale, "offset": piece.offset}
         )
-    area_quad = geometry.area_by_quadrature(piece, n_height, n_theta)
+    area_quad = geometry.area_by_quadrature(piece, n_height)
     rel = abs(area - area_quad) / area
     if not (rel <= area_rtol):
         raise ConvergenceError(
@@ -239,7 +239,7 @@ def _run_catenoid(doc, *, area_rtol, n_height, n_theta):
         "vertical_flux": geometry.vertical_flux(piece.scale),
         "residuals": {"area_rel": rel},
         "tolerances": {"area_rtol": area_rtol},
-        "grid": {"n_height": n_height, "n_theta": n_theta},
+        "grid": {"n_height": n_height},
     }
     return payload, None
 
@@ -431,8 +431,8 @@ def _run_oval(doc, *, rtol):
 # --tol and --grid keys, which the handler takes by keyword, each (default,
 # minimum, maximum).  A tolerance may be any positive finite float.  At the
 # grid maxima a run's peak RSS is 184 MiB for annulus (levels x n_theta) and
-# 113 MiB for catenoid (n_height x n_theta, 305 MiB before its quadrature
-# kept one plane per component); Python 3.11, numpy 2.4, x86-64 Linux.
+# 36 MiB for catenoid (n_height; lambda0 takes 30 MiB), on Python 3.11,
+# numpy 2.4, x86-64 Linux.
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
 _ANNULUS_TOL = {"quadrature_rtol": (1e-8, *_POSITIVE)}
 _ANNULUS_GRID = {"levels": (33, 5, 513), "n_theta": (512, 8, 2048)}
@@ -440,7 +440,7 @@ _KNOBS = {
     "lambda0": {"run": _run_lambda0, "flags": {}, "tol": {}, "grid": {}},
     "catenoid": {"run": _run_catenoid, "flags": {"--input": None},
                  "tol": {"area_rtol": (1e-8, *_POSITIVE)},
-                 "grid": {"n_height": (64, 2, 512), "n_theta": (256, 4, 4096)}},
+                 "grid": {"n_height": (64, 2, 512)}},
     "ms": {"run": _run_ms, "flags": {"--input": None}, "tol": {}, "grid": {}},
     "threshold": {"run": _run_threshold, "flags": {"--input": None},
                   "tol": {"tangential_rtol": (1e-6, *_POSITIVE)}, "grid": {}},

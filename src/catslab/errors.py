@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the check of input documents."""
+"""Exception types shared across the package, and the checks of input
+documents and integer arguments."""
 
 import math
+import operator
 import reprlib
 
 
@@ -40,3 +42,12 @@ def check_numbers(value, key: str, *, finite: bool):
     if not ok:
         what = "finite numbers" if finite else "numbers"
         raise DataInvalidError(f"{key!r} must hold {what} only, got {reprlib.repr(value)}")
+
+
+def check_index(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index`` (so 2.5 and 3.0 are
+    refused, numpy integers accepted), or ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {value!r}") from None

@@ -14,23 +14,19 @@ exposed (``reduce_to_canonical``) so the covariance can be tested directly.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_index
 from .rootfind import bracketed_root
-from .spectral import TWO_PI, gauss_legendre, periodic_nodes
+from .spectral import TWO_PI, gauss_legendre
 
-# central-difference step of the quadrature's area element in angle and, times
-# the scale, in height
+# central-difference step of the quadrature's radial slope, times the scale
 _STENCIL_STEP = 1e-5
-# logs of sizes the quadrature's stencil may reach: below the largest double
-# by a relative 2^-10, far above the stencil's own rounding (~1e-8)
-_LOG_HUGE = math.log(sys.float_info.max) - 2.0**-10
 
 
 # math.sinh and math.cosh, with a signed infinity where they overflow
@@ -46,6 +42,11 @@ def _cosh(x: float) -> float:
         return math.cosh(x)
     except OverflowError:
         return math.inf
+
+
+def _log_cosh(x: float) -> float:
+    """log(cosh(x)) without overflow for large |x|."""
+    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,9 @@ def area_in_slab(piece: CatenoidPiece) -> float:
 
     On the canonical slab this is ``pi*lam^2*cosh(2t/lam)*sinh(2/lam) + 2*pi*lam``;
     general slabs go through the canonical reduction (area scales by c^2).
-    Returns inf where cosh(2t/lam)*sinh(2/lam) or the area overflows the
-    doubles; where c^2 or lam^2 alone leaves them, the terms are grouped by
-    the scale c*lam instead.
+    Where c^2 or lam^2 alone leaves the doubles, the terms are grouped by the
+    scale c*lam instead; where a factor overflows on the way, the area is
+    taken in log form.  Returns inf only where the area itself overflows.
     """
     canonical, c, _ = reduce_to_canonical(piece)
     lam, t = canonical.scale, canonical.offset
@@ -151,130 +152,49 @@ def area_in_slab(piece: CatenoidPiece) -> float:
     if math.isnan(area):  # 0 * inf: c^2 or lam^2 left the doubles, c*lam did not
         scale = c * lam
         area = math.pi * scale * (scale * growth) + TWO_PI * scale * c
+    if area == math.inf:  # perhaps a factor alone overflowed: sum the terms from their logs
+        log_c, log_lam = math.log(c), math.log(lam)
+        x = 2.0 / lam  # log sinh x = log cosh x + log tanh x
+        log_growth = _log_cosh(2.0 * t / lam) + _log_cosh(x) + math.log(math.tanh(x))
+        with contextlib.suppress(OverflowError):  # else the area itself overflows
+            area = (math.exp(math.log(math.pi) + 2.0 * (log_c + log_lam) + log_growth)
+                    + math.exp(math.log(TWO_PI) + log_lam + 2.0 * log_c))
     return area
 
 
-def _stencil_radii(piece, w_h, n_theta, h, h_p, h_m):
-    """Radii at the quadrature's stencil heights and the height step, checked
-    before any arithmetic on the (n_height, n_theta) planes.
-
-    Raises ConvergenceError where the stencil cannot be taken in doubles: the
-    height step rounds to zero, or cosh, the radius, a component of the area
-    element or its weighted sum would overflow.  The bounds are taken in log
-    form, from the columns alone: on height row i the angle tangent is at most
-    r_i and the height tangent at most the radial slope s_i, up to rounding,
-    so the element is at most r_i*(1 + s_i).
-    """
-    step = h_p - h_m
-    if not step.all():
-        raise ConvergenceError(
-            "height step of the area stencil rounds to zero",
-            {"height": float(h_p[np.argmin(step), 0]), "step": _STENCIL_STEP * piece.scale},
-        )
-    lam, t = piece.scale, piece.offset
-    # Python floats overflow quietly to inf; the radius is at least |h - t|
-    a, b = piece.slab.h_minus, piece.slab.h_plus
-    if not max(abs(a - t), abs(b - t)) < math.inf:
-        raise ConvergenceError("radius of the catenoid overflows", {"scale": lam, "offset": t})
-    # |h - t|/lam capped at 1e3 (cosh overflows past 710), so it cannot overflow
-    u = np.minimum(np.maximum(np.abs(h_p - t), np.abs(h_m - t)), 1e3 * lam) / lam
-    log_cosh = float(np.logaddexp(u, -u).max()) - math.log(2.0)
-    if not max(log_cosh, math.log(lam) + log_cosh) < _LOG_HUGE:
-        raise ConvergenceError(
-            "radius of the catenoid overflows",
-            {"log_cosh": log_cosh, "log_radius": math.log(lam) + log_cosh},
-        )
-    r, r_p, r_m = _radius(piece, h), _radius(piece, h_p), _radius(piece, h_m)
-    # r_p*cos - r_m*cos differs from (r_p - r_m)*cos by an ulp of the radius,
-    # and is exactly 0 where r_p == r_m
-    rise = np.abs(r_p - r_m)
-    rise += (rise > 0.0) * (2.0**-52 * np.maximum(r_p, r_m))
-    log_slope = np.log(rise, out=np.full_like(rise, -np.inf), where=rise > 0.0) - np.log(step)
-    log_element = np.log(r) + np.logaddexp(0.0, log_slope)
-    # sum_i w_i * element_i: the sum itself takes n_theta terms a row, the
-    # result is 2 pi/n_theta of it (a weight may underflow to 0 on thin slabs)
-    log_w = np.log(w_h, out=np.full_like(w_h, -np.inf), where=w_h > 0.0)
-    log_sum = math.log(max(n_theta, TWO_PI)) + float(
-        np.logaddexp.reduce((log_w[:, None] + log_element).ravel())
-    )
-    log_peak = max(float(log_slope.max()), float(log_element.max()), log_sum)
-    if not log_peak < _LOG_HUGE:
-        raise ConvergenceError(
-            "area element overflows",
-            {"log_element": float(log_element.max()), "log_sum": log_sum},
-        )
-    return r, r_p, r_m, step
-
-
-def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
-    """Area by tensor-product quadrature of the parameterization's area element.
-
-    Gauss-Legendre in height times trapezoid in angle (spectrally accurate for
-    the periodic direction).  The area element is |f_h x f_theta| for central
-    differences f_h, f_theta of the parameterization, taken on one
-    (n_height, n_theta) plane per vector component: f_h = (x_h, y_h, 1) and
-    f_theta = (x_theta, y_theta, 0), so the cross product is
-    (-y_theta, x_theta, x_h*y_theta - y_h*x_theta).  This is the same
-    geometric stencil as differencing the parameterization point by point at
-    h +- 1e-5 scale (past the slab ends for nodes that near), and it shares no
-    algebra with the closed form in ``area_in_slab``.
+def area_by_quadrature(piece: CatenoidPiece, n_height: int = 64) -> float:
+    """Area 2*pi * Int r*sqrt(1 + r'^2) dh of the surface of revolution, by
+    Gauss-Legendre quadrature on the height axis; no algebra is shared with
+    ``area_in_slab``.  The slope r' is a central difference of the radius at
+    h +- 1e-5 scale, past the slab ends for nodes that near (so slabs thinner
+    than the step keep their accuracy), and sqrt(1 + r'^2) is ``np.hypot``.
 
     Raises ConvergenceError, naming the cause in its residuals, where the
-    stencil cannot be taken in doubles: the height step rounds to zero (a
-    slab far from the origin on the scale of the catenoid), or the radius,
-    the area element or its weighted sum overflows.
+    height step rounds to zero (a slab far from the origin on the scale of
+    the catenoid), a stencil radius overflows, or the area element or its
+    weighted sum does.  ValueError unless ``n_height`` is an int >= 2.
     """
-    if n_height < 2 or n_theta < 4:
-        raise ValueError("quadrature needs n_height >= 2 and n_theta >= 4")
-    a, b = piece.slab.h_minus, piece.slab.h_plus
-    hs, w_h = gauss_legendre(n_height, a, b)
-    thetas = periodic_nodes(n_theta)
-
-    # heights as a column and angles as a row, so each cosh is taken once per
-    # height and each cos/sin once per angle
-    h = hs[:, None]
-    # The radius is defined at every height, so the stencil is central at
-    # every node: clipped to the slab, it would difference two radii that
-    # agree to a few ulps on slabs much thinner than the step.
+    if check_index(n_height, "n_height") < 2:
+        raise ValueError("quadrature needs n_height >= 2")
+    hs, w_h = gauss_legendre(n_height, piece.slab.h_minus, piece.slab.h_plus)
     dh = _STENCIL_STEP * piece.scale
-    h_p, h_m = h + dh, h - dh
-    r, r_p, r_m, step = _stencil_radii(piece, w_h, n_theta, h, h_p, h_m)
-    dth = _STENCIL_STEP
-    tt = thetas[None, :]
-    cos, sin = np.cos(tt), np.sin(tt)
-
-    # each difference as written for the stacked points, not factored, so
-    # every plane keeps its bits; f_h's z is step/step = 1 exactly, f_t's is 0
-    tmp = np.empty((n_height, n_theta))
-    x_h = np.multiply(r_p, cos)
-    x_h -= np.multiply(r_m, cos, out=tmp)
-    x_h /= step
-    y_h = np.multiply(r_p, sin)
-    y_h -= np.multiply(r_m, sin, out=tmp)
-    y_h /= step
-    x_t = np.multiply(r, np.cos(tt + dth))
-    x_t -= np.multiply(r, np.cos(tt - dth), out=tmp)
-    x_t /= 2.0 * dth
-    y_t = np.multiply(r, np.sin(tt + dth))
-    y_t -= np.multiply(r, np.sin(tt - dth), out=tmp)
-    y_t /= 2.0 * dth
-    # the cross product's z, in np.cross's operation order, into x_h
-    x_h *= y_t
-    x_h -= np.multiply(y_h, x_t, out=tmp)
-    normal_z = x_h
-
-    # Square under a power-of-two scale (exact in binary): on thin catenoids
-    # the components reach 1e286 while the area is still a finite double.
-    peak = max(y_t.max(), -y_t.min(), x_t.max(), -x_t.min(), normal_z.max(), -normal_z.min())
-    _, exp = np.frexp(peak)
-    # |n|^2 = ((-y_t)^2 + x_t^2) + z^2, the order of norm's reduction
-    element = np.square(np.ldexp(y_t, -exp, out=y_t), out=y_t)
-    element += np.square(np.ldexp(x_t, -exp, out=x_t), out=x_t)
-    element += np.square(np.ldexp(normal_z, -exp, out=normal_z), out=normal_z)
-    np.sqrt(element, out=element)
-    np.ldexp(element, exp, out=element)
-    element *= w_h[:, None]
-    return float(element.sum() * (TWO_PI / n_theta))
+    heights = np.stack([hs, hs + dh, hs - dh])
+    step = heights[1] - heights[2]
+    if not step.all():
+        raise ConvergenceError("height step of the area stencil rounds to zero",
+                               {"height": float(hs[np.argmin(step)]), "step": dh})
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, r_p, r_m = radii = _radius(piece, heights)
+        slope = (r_p - r_m) / step
+        area = TWO_PI * float((w_h * r * np.hypot(1.0, slope)).sum())
+    if math.isfinite(area):
+        return area
+    if not np.isfinite(radii).all():
+        height = float(heights[~np.isfinite(radii)][0])
+        raise ConvergenceError("radius of the catenoid overflows",
+                               {"scale": piece.scale, "offset": piece.offset, "height": height})
+    raise ConvergenceError("area element overflows",
+                           {"radius": float(r.max()), "slope": float(np.abs(slope).max())})
 
 
 def boundary_length(piece: CatenoidPiece) -> float:

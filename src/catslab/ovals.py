@@ -46,14 +46,13 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, check_index
 from .spectral import TWO_PI, fourier_derivative
 
 _log = logging.getLogger(__name__)
@@ -126,6 +125,7 @@ class ClosedCurve:
     def ellipse(a: float, b: float, n: int = 256) -> "ClosedCurve":
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"ellipse axes must be finite, got {a}, {b}")
+        n = check_index(n, "n")
         u = TWO_PI * np.arange(n) / n
         return ClosedCurve(np.stack([a * np.cos(u), b * np.sin(u), np.zeros(n)], axis=1))
 
@@ -133,8 +133,9 @@ class ClosedCurve:
     def rounded_polygon(sides: int, rounding: float = 0.1, n: int = 512) -> "ClosedCurve":
         """Regular polygon smoothed by a Gaussian Fourier filter; larger
         ``rounding`` gives softer corners."""
-        if sides < 3:
+        if check_index(sides, "sides") < 3:
             raise ValueError("need at least 3 sides")
+        n = check_index(n, "n")
         u = np.arange(n) / n
         corner = np.floor(u * sides)
         frac = u * sides - corner
@@ -162,6 +163,7 @@ class ClosedCurve:
         planar: bool = False,
     ) -> "ClosedCurve":
         """Random smooth closed curve: unit circle plus decaying Fourier modes."""
+        n_modes, n = check_index(n_modes, "n_modes"), check_index(n, "n")
         u = TWO_PI * np.arange(n) / n
         pts = np.stack([np.cos(u), np.sin(u), np.zeros(n)], axis=1)
         dims = 2 if planar else 3
@@ -424,10 +426,7 @@ def lowest_eigenvalue(
     """
     if not (isinstance(rtol, float) and 0.0 < rtol < math.inf):
         raise ValueError(f"rtol must be a positive finite float, got {rtol!r}")
-    try:
-        max_n = operator.index(max_n)
-    except TypeError:
-        raise ValueError(f"max_n must be an int, got {max_n!r}") from None
+    max_n = check_index(max_n, "max_n")
     if max_n < 64:
         raise ValueError("max_n must allow two levels (K = 16 and 32)")
     # Solve on the unit copy c / 4^q: every step is then exact in the power of

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_index
 from .geometry import CatenoidPiece, Slab
 from .rootfind import bracketed_root
 
@@ -93,8 +93,13 @@ def dilation_jacobi_field(apex_height: float, height) -> float | np.ndarray:
 
     u(h; z) = 1 - (h - z) tanh(h) solves u'' + 2 sech^2(h) u = 0, is positive
     strictly between the tangency heights and vanishes exactly at them.
+    ValueError unless the apex height and every height are finite.
     """
+    if not math.isfinite(apex_height):
+        raise ValueError(f"apex_height must be finite, got {apex_height!r}")
     h = np.asarray(height, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("height must be finite")
     out = 1.0 - (h - apex_height) * np.tanh(h)
     return float(out) if out.ndim == 0 else out
 
@@ -205,6 +210,7 @@ def lowest_jacobi_eigenvalue(
       Slab(-0.5, 300), mesh 1024 gives -0.02777 against -0.02552 at 16384.
     """
     _check_piece(piece)
+    mesh = check_index(mesh, "mesh")
     if mesh < 16:
         raise ValueError("mesh too coarse: need at least 16 nodes")
     # "fd" is the only solver; the keyword stays because the benchmark passes it

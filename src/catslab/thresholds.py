@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError
-from .geometry import CatenoidPiece, Slab, _cosh
+from .geometry import CatenoidPiece, Slab, _cosh, _log_cosh
 from .rootfind import bracketed_root
 from .spectral import TWO_PI
 from .stability import _tangency_positive, cat_ms, tangent_cone_heights
@@ -49,12 +49,6 @@ class MsSolution:
     def unit_piece(self) -> CatenoidPiece:
         """Unit-scale reduction (the clipped interval in catenoid coordinates)."""
         return cat_ms(self.apex_height)
-
-
-def _log_cosh(x: float) -> float:
-    """log(cosh(x)) without overflow for large |x|."""
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
 def _log_length(lam: float, c: float, height: float) -> float:
@@ -119,12 +113,15 @@ def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
 
 def f_omega(lower_length: float, slab: Slab) -> float:
     """Threshold upper length: minimal upper boundary length admitting a
-    clipped vertical catenoid with the given lower boundary length."""
+    clipped vertical catenoid with the given lower boundary length; +inf
+    where it leaves the doubles (below lower lengths of about 0.0176 on the
+    slab [-1, 1])."""
     return ms_piece_for_lower_length(lower_length, slab).upper_length
 
 
 def l_crit(slab: Slab) -> float:
-    """Total boundary length of the maximally symmetric marginally stable piece."""
+    """Total boundary length of the maximally symmetric marginally stable
+    piece; +inf where it leaves the doubles (slab heights above about 1e307)."""
     ct = tangent_cone_heights(0.0)
     lam = slab.height / (ct.t_plus - ct.t_minus)
     return TWO_PI * lam * (_cosh(ct.t_minus) + _cosh(ct.t_plus))
@@ -172,8 +169,9 @@ def spanning_catenoids(
         return max(abs(math.expm1(_log_length(lam, c, slab.h_minus) - log_lower)),
                    abs(math.expm1(_log_length(lam, c, slab.h_plus) - log_upper)))
 
-    # U/F - 1 from log F: F overflows a double below lower lengths of about 0.0176
-    upper_rel = math.expm1(log_upper - _log_length(ms.scale, ms.offset, slab.h_plus))
+    # U/F - 1 from log F: F overflows a double below lower lengths of about
+    # 0.0176, and U/F may too (capped at e^709, where only its sign is read)
+    upper_rel = math.expm1(min(log_upper - _log_length(ms.scale, ms.offset, slab.h_plus), 709.0))
     if abs(upper_rel) <= tangential_rtol:
         residual = relative_residual(ms.scale, ms.offset)
         return SpanningResult([(ms.scale, ms.offset)], True, threshold, [residual])

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import DataInvalidError, ResolutionError, check_numbers
+from .errors import DataInvalidError, ResolutionError, check_index, check_numbers
 from .geometry import CatenoidPiece, Slab
 from .rootfind import bracketed_root
 from .spectral import TWO_PI, cumulative_integral, fourier_derivative, gauss_legendre
@@ -483,8 +483,10 @@ def level_profile(
     length by more than ``quadrature_rtol`` relatively.  One grid at the
     doubled count is evaluated; its even nodes are the ``n_theta`` grid.
     """
-    if levels < 5:
+    if check_index(levels, "levels") < 5:
         raise ValueError("need at least 5 levels")
+    if check_index(n_theta, "n_theta") < 1:
+        raise ValueError("need at least 1 angle")
     val = validate(data)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), levels)
     # in two halves of the levels: half the peak heap, which glibc grew and trimmed each call
@@ -549,17 +551,33 @@ def cpx_inequality_check(F_coeffs: dict, rho: float) -> CircleMeanReport:
     with equality exactly for F = a*z and F = a/z.  (|F'|^2/|F| is the
     Laplacian of |F| for holomorphic nonvanishing F.)  Both sides are periodic
     trapezoid sums on 2048 angles.  A circle where |F| falls below 1e-6 of its
-    maximum is refused.
+    maximum is refused, as are an empty ``F_coeffs`` and a ``rho`` that is
+    not a positive finite float.
     """
+    if not 0.0 < rho < math.inf:  # NaN fails too
+        raise ValueError(f"rho must be a positive finite float, got {rho!r}")
+    if not F_coeffs:
+        raise ValueError("F_coeffs must hold at least one Laurent coefficient")
     coeffs = {int(p): complex(c) for p, c in F_coeffs.items()}
     scale = max(abs(c) for c in coeffs.values())
     if abs(coeffs.get(0, 0.0)) > 1e-15 * scale:
         raise ValueError("constant Laurent coefficient of F must vanish")
-    Fv, zFpv = (v[0] for v in _on_circles([coeffs, _z_derivative(coeffs)], [math.log(rho)], 2048))
-    if np.abs(Fv).min() < 1e-6 * np.abs(Fv).max():
-        raise ValueError("F vanishes (or nearly) on the circle")
-    lhs = float(periodic_integral(np.abs(zFpv) ** 2 / np.abs(Fv)))
-    rhs = float(periodic_integral(np.abs(Fv)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _on_circles([coeffs, _z_derivative(coeffs)], [math.log(rho)], 2048)
+        absF, absD = (np.abs(v[0]) for v in tables)
+        peak = float(absF.max())
+        if not (peak < math.inf and np.isfinite(absD).all()):
+            raise ValueError(f"F overflows on the circle of radius rho={rho!r}")
+        if not (peak > 0.0 and absF.min() >= 1e-6 * peak):
+            raise ValueError("F vanishes (or nearly) on the circle")
+        # both sides are homogeneous of degree 1 in F: take them with max |F|
+        # in [1/2, 1), so that no square leaves the doubles on tiny circles
+        e = math.frexp(peak)[1]
+        absF, absD = np.ldexp(absF, -e), np.ldexp(absD, -e)
+        lhs = float(np.ldexp(periodic_integral(absD**2 / absF), e))
+        rhs = float(np.ldexp(periodic_integral(absF), e))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"the circle means of F overflow at rho={rho!r}")
     return CircleMeanReport(lhs, rhs, lhs - rhs)
 
 
@@ -624,7 +642,7 @@ def immerse(data: WeierstrassData, grid_spec: tuple[int, int] = (64, 256)) -> Sa
     The image is translated so the angular mean of (x1, x2) is zero and the
     angular mean of x3 matches mu * t on the middle circle.
     """
-    M, N = grid_spec
+    M, N = (check_index(k, "grid_spec entry") for k in grid_spec)
     if M < 4 or N < 16 or N % 2:
         raise ValueError("grid_spec needs M >= 4 and even N >= 16")
     val = validate(data)
@@ -710,7 +728,7 @@ def second_derivative_decomposition(
     M, N = annulus.metric_factor.shape
     if N < 64:
         raise ResolutionError("angular resolution too coarse", {"n_theta": N})
-    if not 0 <= level_index < M:
+    if not 0 <= check_index(level_index, "level_index") < M:
         raise ValueError(f"level index must be in [0, {M}), got {level_index}")
     t = float(annulus.log_radii[level_index])
     mu = annulus.modulus_mu

@@ -13,9 +13,9 @@ marginal piece's ends from Brent's method on h tanh h = 1, the oval
 Galerkin matrices from Toeplitz matrices on complex Fourier modes, and each
 oval level's eigenvalue from a dense generalized eigensolve instead of the
 package's certified inverse iteration.  The area
-quadrature's stencil is also kept here on stacked points (``np.cross`` and
-``np.linalg.norm``) as the bit-for-bit reference of the package's
-component-plane kernel.
+quadrature's stencil is also kept here in two dimensions, on stacked points
+(``np.cross`` and ``np.linalg.norm``), as the reference of the package's rule
+on the height axis alone.
 """
 
 import functools
@@ -57,11 +57,13 @@ def flux_line_integral(piece: CatenoidPiece, height: float, n: int = 256, step: 
 
 
 def area_by_stacked_stencil(piece: CatenoidPiece, n_height: int = 64, n_theta: int = 256) -> float:
-    """The quadrature of ``geometry.area_by_quadrature`` on stacked points:
-    central differences of the parameterization as (n_height, n_theta, 3)
-    arrays, at h +- 1e-5 scale even where that leaves the slab, ``np.cross``
-    and ``np.linalg.norm``.  The same stencil on component planes must give
-    the same bits wherever this is finite."""
+    """Area by tensor-product quadrature on stacked points: Gauss-Legendre in
+    height times trapezoid in angle of |f_h x f_theta|, for central differences
+    of the parameterization as (n_height, n_theta, 3) arrays, at h +- 1e-5
+    scale even where that leaves the slab and at theta +- 1e-5, with
+    ``np.cross`` and ``np.linalg.norm``.  The element r*(sin d/d)*sqrt(1 + r'^2)
+    does not depend on theta, so ``geometry.area_by_quadrature`` at the same
+    n_height must agree to 1e-10 wherever this is finite."""
     hs, w_h = gauss_legendre(n_height, piece.slab.h_minus, piece.slab.h_plus)
     hh, tt = hs[:, None], periodic_nodes(n_theta)[None, :]
     dh = 1e-5 * piece.scale

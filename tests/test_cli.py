@@ -637,7 +637,7 @@ class TestExitCodes:
         "args",
         [["annulus", "--grid", "levels=100000"],
          ["annulus", "--grid", "trials=1000000"],
-         ["catenoid", "--grid", "n_theta=1000000"],
+         ["catenoid", "--grid", "n_height=513"],
          ["catenoid", "--grid", "n_height=100000"],
          ["oval", "--grid", "n=1000000"],
          ["threshold", "--sweep", "1:2:1000000000"]],
@@ -646,6 +646,11 @@ class TestExitCodes:
         # refused while the configuration is checked, before anything is allocated
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "" and "bad configuration" in err
+
+    def test_catenoid_has_no_angle_knob(self, capsys):
+        # its quadrature runs on the height axis alone
+        code, out, err = run_cli(["catenoid", "--grid", "n_theta=256"], capsys)
+        assert code == 2 and out == "" and "unknown grid key 'n_theta'" in err
 
     def test_knob_defaults_within_bounds(self):
         for mode, row in cli._KNOBS.items():

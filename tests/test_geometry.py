@@ -6,6 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import _oracles as orc
+from _strategies import magnitudes, signed
 from catslab import geometry as geo
 from catslab.errors import ConvergenceError
 from catslab.geometry import CatenoidPiece, Slab
@@ -128,17 +129,44 @@ class TestArea:
         assert geo.area_in_slab(piece) == math.inf
         with pytest.raises(ConvergenceError, match="radius") as err:
             geo.area_by_quadrature(piece)
-        assert err.value.residuals["log_radius"] > 709.0
+        res = err.value.residuals
+        assert (res["height"] - res["offset"]) / res["scale"] > 710.0  # cosh overflows
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_quadrature_refuses_an_overflowing_element(self):
-        # the radius stays near 1e153, but the element lam*cosh^2 leaves the
-        # doubles on the outer rows
-        piece = CatenoidPiece(0.01, 0.0, Slab(-3.59, 3.59))
-        assert 0.01 * math.cosh(359.0) < 1e154
+        # the radius stays near 1e154, but the element r * sqrt(1 + r'^2)
+        # leaves the doubles on the outer nodes, as does the area
+        piece = CatenoidPiece(0.01, 0.0, Slab(-3.6, 3.6))
+        assert 0.01 * math.cosh(360.0) < 1e155
+        assert geo.area_in_slab(piece) == math.inf
         with pytest.raises(ConvergenceError, match="area element") as err:
             geo.area_by_quadrature(piece)
-        assert err.value.residuals["log_element"] > 709.0
+        res = err.value.residuals
+        assert res["radius"] < 1e155 and res["radius"] * res["slope"] > 1e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadrature_answers_an_area_near_the_largest_double(self):
+        # 1.04606e308: the element stays finite, and no n_theta-fold sum is taken
+        piece = CatenoidPiece(0.01, 0.0, Slab(-3.59, 3.59))
+        quad = geo.area_by_quadrature(piece)
+        assert quad == pytest.approx(geo.area_in_slab(piece), rel=1e-3)
+
+    def test_closed_form_where_a_factor_overflows(self):
+        # sinh(2/lam) overflows on the way to a finite area: taken in log form
+        mpmath = pytest.importorskip("mpmath")
+        for lam, t, half in [(0.01, 0.0, 3.59), (0.01, 0.01, 3.58), (1 / 360, 1e-3, 1.0)]:
+            piece = CatenoidPiece(lam, t, Slab(-half, half))
+            with mpmath.mp.workdps(40):
+                c, L, T = mpmath.mpf(half), mpmath.mpf(lam) / half, mpmath.mpf(t) / half
+                growth = mpmath.cosh(2 * T / L) * mpmath.sinh(2 / L)
+                exact = c * c * (mpmath.pi * L * L * growth + 2 * mpmath.pi * L)
+                assert 1e307 < exact < 1.7e308 and 2 / L > 711
+                assert abs(geo.area_in_slab(piece) / exact - 1) <= 1e-12
+        # a finite double expression keeps its bits
+        lam = 0.02 / 3.5
+        growth = math.cosh(0.0) * math.sinh(2.0 / lam)
+        expected = 3.5 * 3.5 * (PI * lam * lam * growth + 2 * PI * lam)
+        assert geo.area_in_slab(CatenoidPiece(0.02, 0.0, Slab(-3.5, 3.5))) == expected
 
     def test_closed_form_where_a_square_leaves_the_doubles(self):
         # lam^2 underflows against an infinite cosh*sinh: the area overflows
@@ -162,10 +190,11 @@ class TestArea:
 
 
 def _quadrature_corpus(count, seed):
-    """Pieces for the bit-identity check: three in four with log-uniform scale
+    """Pieces for the agreement check: three in four with log-uniform scale
     in [3e-3, 1e3], offsets and general slabs (many overflow), one in four
-    thin catenoids on [-1, 1] whose area element reaches 1e286; grids
-    (2, 4), (17, 33), (64, 256) and (128, 512) in the ratio 3:2:2:1."""
+    thin catenoids on [-1, 1] whose area element reaches 1e286; the stacked
+    stencil's grids (2, 4), (17, 33), (64, 256) and (128, 512) in the ratio
+    3:2:2:1."""
     rng = np.random.default_rng(seed)
     grids = [(2, 4)] * 3 + [(17, 33)] * 2 + [(64, 256)] * 2 + [(128, 512)]
     for i in range(count):
@@ -181,50 +210,42 @@ def _quadrature_corpus(count, seed):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_quadrature_bits_match_the_stacked_stencil():
-    # the component-plane kernel against the same stencil on stacked points:
-    # equal bits wherever the stacked result is finite, a refusal elsewhere
+def test_quadrature_agrees_with_the_stacked_stencil():
+    # the height-axis rule against the 2-D stencil on stacked points at the
+    # same n_height: within 1e-10 wherever the stacked result is finite (its
+    # angle stencil alone is sin(1e-5)/1e-5 - 1 = -1.7e-11 off), a refusal elsewhere
     finite = 0
-    for piece, grid in _quadrature_corpus(1024, seed=2024):
+    for piece, (n_height, n_theta) in _quadrature_corpus(1024, seed=2024):
         with np.errstate(all="ignore"):
-            stacked = orc.area_by_stacked_stencil(piece, *grid)
+            stacked = orc.area_by_stacked_stencil(piece, n_height, n_theta)
         if math.isfinite(stacked):
-            assert geo.area_by_quadrature(piece, *grid) == stacked, (piece, grid)
+            quad = geo.area_by_quadrature(piece, n_height)
+            assert abs(quad / stacked - 1) <= 1e-10, (piece, n_height)
             finite += 1
         else:
             with pytest.raises(ConvergenceError):
-                geo.area_by_quadrature(piece, *grid)
+                geo.area_by_quadrature(piece, n_height)
     assert 600 <= finite < 1024  # both branches are exercised
-
-
-def _magnitudes():
-    """Log-uniform magnitudes from 1e-3 to 1e3 and from 1e-300 to 1e300."""
-    return (st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
-
-
-def _signed():
-    return st.just(0.0) | st.tuples(_magnitudes(), st.sampled_from([1.0, -1.0])).map(
-        lambda mt: mt[0] * mt[1]
-    )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(
-    scale=_magnitudes(), offset=_signed(), low=_signed(), height=_magnitudes(),
-    grid=st.sampled_from([(2, 4), (17, 33), (64, 256)]),
+    scale=magnitudes(), offset=signed(), low=signed(), height=magnitudes(),
+    n_height=st.sampled_from([2, 17, 64]),
 )
-@example(scale=1.0, offset=1e12 + 0.5, low=1e12, height=1.0, grid=(64, 256))
-@example(scale=0.0131, offset=-0.0164, low=-0.079, height=88.929, grid=(64, 256))
-@example(scale=1e-170, offset=0.0, low=-1.0, height=2.0, grid=(64, 256))
-@example(scale=1.0, offset=0.0, low=0.0, height=1e-162, grid=(2, 4))
-def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, grid):
+@example(scale=1.0, offset=1e12 + 0.5, low=1e12, height=1.0, n_height=64)
+@example(scale=0.0131, offset=-0.0164, low=-0.079, height=88.929, n_height=64)
+@example(scale=1e-170, offset=0.0, low=-1.0, height=2.0, n_height=64)
+@example(scale=1.0, offset=0.0, low=0.0, height=1e-162, n_height=2)
+@example(scale=0.01, offset=0.0, low=-3.59, height=7.18, n_height=64)
+def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, n_height):
     # finite, or +inf from the closed form where it overflows; otherwise a
     # ConvergenceError or ValueError; never NaN and never a warning
     try:
         piece = CatenoidPiece(scale, offset, Slab(low, low + height))
     except ValueError:
         assume(False)
-    for area in (geo.area_in_slab, lambda p: geo.area_by_quadrature(p, *grid)):
+    for area in (geo.area_in_slab, lambda p: geo.area_by_quadrature(p, n_height)):
         try:
             value = area(piece)
         except (ConvergenceError, ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as orc
+from _strategies import signed
 from catslab import geometry as geo
 from catslab import stability as st_mod
 from catslab.errors import ConvergenceError
@@ -58,6 +59,20 @@ class TestTangentCones:
             for t in (ct.t_plus, ct.t_minus):
                 sep = orc.cone_separation(z, t)
                 assert sep >= -1e-10
+
+
+@given(signed())
+def test_tangency_returns_finite_heights_or_refuses(z):
+    # finite ordered heights and a unit piece between them, or a
+    # ConvergenceError or ValueError; never NaN and never a warning
+    try:
+        ct = st_mod.tangent_cone_heights(z)
+        piece = st_mod.cat_ms(z)
+    except (ConvergenceError, ValueError):
+        return
+    assert -math.inf < ct.t_minus < 0.0 < ct.t_plus < math.inf
+    assert (piece.scale, piece.offset) == (1.0, 0.0)
+    assert (piece.slab.h_minus, piece.slab.h_plus) == (ct.t_minus, ct.t_plus)
 
 
 class TestCatMs:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
 from scipy.optimize import brentq
 
 import _oracles as orc
+from _strategies import magnitudes, signed
 from catslab import geometry as geo
 from catslab import stability as st_mod
 from catslab import thresholds as th
@@ -246,6 +248,33 @@ def test_threshold_asymptotics_measured_only():
     print(f"F near zero: {small}")
     print(f"F at large lengths: {large}")
     assert all(np.isfinite(small)) and all(np.isfinite(large))
+
+
+@given(lower=magnitudes(), upper=magnitudes(), low=signed(), height=magnitudes())
+@example(lower=0.01251212945140822, upper=4.0067345735565463e244, low=0.0,
+         height=4.933314964022054e-273)  # U/F = e^1195: expm1 overflowed
+@example(lower=0.01, upper=1.0, low=-1.0, height=2.0)  # F overflows
+def test_threshold_functions_return_a_number_or_refuse(lower, upper, low, height):
+    # finite, or +inf where F or L_crit leaves the doubles; otherwise a
+    # ConvergenceError or ValueError; never NaN and never a warning
+    try:
+        slab = Slab(low, low + height)
+    except ValueError:
+        assume(False)
+    for value in (lambda: th.f_omega(lower, slab), lambda: th.l_crit(slab)):
+        try:
+            assert value() > 0.0  # NaN fails; +inf passes
+        except (ConvergenceError, ValueError):
+            pass
+    try:
+        result = th.spanning_catenoids(lower, upper, slab)
+    except (ConvergenceError, ValueError):
+        return
+    assert result.threshold_upper > 0.0 and len(result) in (0, 1, 2)
+    assert result.tangential == (len(result) == 1)
+    for scale, offset in result.parameters:
+        assert 0.0 < scale < math.inf and math.isfinite(offset)
+    assert all(0.0 <= r < math.inf for r in result.residuals)
 
 
 class TestFortyDigitReference:

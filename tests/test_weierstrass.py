@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import _oracles as orc
+from _strategies import magnitudes, signed
 from catslab import weierstrass as wz
 from catslab.errors import DataInvalidError, ResolutionError
 from catslab.geometry import Slab
@@ -105,6 +108,30 @@ class TestValidation:
         doc[name].append(row)
         with pytest.raises(DataInvalidError, match=message):
             wz.from_json(json.dumps(doc))
+
+
+def _laurent_tables():
+    """1 to 3 terms of powers -3..3, each with a log-uniform real part and an
+    imaginary part that is zero or log-uniform."""
+    term = st.tuples(st.integers(-3, 3), signed(), st.just(0.0) | signed())
+    return st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[0]).map(
+        lambda terms: [list(t) for t in terms]
+    )
+
+
+@given(g=_laurent_tables(), h=_laurent_tables(), r_inner=magnitudes(), ratio=magnitudes())
+@example(g=[[1, 1.0, 0.0]], h=[[-1, 1.0, 0.0]], r_inner=1 / E, ratio=E * E - 1.0)  # a catenoid
+def test_any_document_validates_or_refuses(g, h, r_inner, ratio):
+    # a validation with finite fields, or DataInvalidError (a ValueError);
+    # never NaN, another exception or a warning
+    doc = {"version": 1, "g": g, "h": h, "r_inner": r_inner, "r_outer": r_inner * (1.0 + ratio)}
+    try:
+        val = wz.validate(wz.from_document(doc))
+    except ValueError:
+        return
+    fields = [val.f3, val.mu, val.min_modulus_g, *val.period_residuals.values()]
+    assert np.isfinite(fields).all() and np.isfinite(val.flux_vector).all()
+    assert val.f3 > 0.0 and val.min_modulus_g >= 1e-6
 
 
 class TestFlux:
