@@ -207,7 +207,7 @@ def _run_lambda0():
     return payload, None
 
 
-def _run_catenoid(doc, *, area_rtol, n_height):
+def _run_catenoid(doc, *, area_rtol):
     _require_keys(doc, {"scale", "offset", "slab"}, "catenoid input")
     try:
         piece = geometry.CatenoidPiece(
@@ -220,7 +220,7 @@ def _run_catenoid(doc, *, area_rtol, n_height):
         raise ConvergenceError(
             "closed-form area overflows", {"scale": piece.scale, "offset": piece.offset}
         )
-    area_quad = geometry.area_by_quadrature(piece, n_height)
+    area_quad = geometry.area_by_quadrature(piece)
     rel = abs(area - area_quad) / area
     if not (rel <= area_rtol):
         raise ConvergenceError(
@@ -239,7 +239,6 @@ def _run_catenoid(doc, *, area_rtol, n_height):
         "vertical_flux": geometry.vertical_flux(piece.scale),
         "residuals": {"area_rel": rel},
         "tolerances": {"area_rtol": area_rtol},
-        "grid": {"n_height": n_height},
     }
     return payload, None
 
@@ -326,12 +325,10 @@ def _run_threshold_sweep(sweep, doc):
     return payload, rows
 
 
-def _run_annulus(doc, *, quadrature_rtol, levels, n_theta):
+def _run_annulus(doc, *, quadrature_rtol, levels):
     data = weierstrass.from_document(doc)
     val = weierstrass.validate(data)
-    profile = weierstrass.level_profile(
-        data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
-    )
+    profile = weierstrass.level_profile(data, levels, quadrature_rtol=quadrature_rtol)
     report = weierstrass.convexity_check(profile)
     rows = [
         {
@@ -360,19 +357,17 @@ def _run_annulus(doc, *, quadrature_rtol, levels, n_theta):
             "quadrature_rtol": quadrature_rtol,
             "period_rtol": weierstrass.PERIOD_RTOL,
         },
-        "grid": {"levels": levels, "n_theta": n_theta},
+        "grid": {"levels": levels, "n_theta": profile.n_theta},
     }
     return payload, rows
 
 
-def _run_annulus_trials(seed, *, quadrature_rtol, levels, n_theta, trials):
+def _run_annulus_trials(seed, *, quadrature_rtol, levels, trials):
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(trials):
         data = weierstrass.random_annulus_data(rng)
-        profile = weierstrass.level_profile(
-            data, levels, n_theta=n_theta, quadrature_rtol=quadrature_rtol
-        )
+        profile = weierstrass.level_profile(data, levels, quadrature_rtol=quadrature_rtol)
         report = weierstrass.convexity_check(profile)
         rows.append(
             {
@@ -429,18 +424,18 @@ def _run_oval(doc, *, rtol):
 # --tol and --grid, in the handler's positional order, each with the value
 # the handler gets when it is not given (None: the flag is required); and its
 # --tol and --grid keys, which the handler takes by keyword, each (default,
-# minimum, maximum).  A tolerance may be any positive finite float.  At the
-# grid maxima a run's peak RSS is 184 MiB for annulus (levels x n_theta) and
-# 36 MiB for catenoid (n_height; lambda0 takes 30 MiB), on Python 3.11,
+# minimum, maximum).  A tolerance may be any positive finite float.  The
+# quadratures pick their own node counts up to fixed caps, so a run's peak
+# RSS is largest for annulus at levels=513 on a document that needs 2048
+# angles: 184 MiB (catenoid takes 34 MiB, lambda0 31 MiB), on Python 3.11,
 # numpy 2.4, x86-64 Linux.
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
 _ANNULUS_TOL = {"quadrature_rtol": (1e-8, *_POSITIVE)}
-_ANNULUS_GRID = {"levels": (33, 5, 513), "n_theta": (512, 8, 2048)}
+_ANNULUS_GRID = {"levels": (33, 5, 513)}
 _KNOBS = {
     "lambda0": {"run": _run_lambda0, "flags": {}, "tol": {}, "grid": {}},
     "catenoid": {"run": _run_catenoid, "flags": {"--input": None},
-                 "tol": {"area_rtol": (1e-8, *_POSITIVE)},
-                 "grid": {"n_height": (64, 2, 512)}},
+                 "tol": {"area_rtol": (1e-8, *_POSITIVE)}, "grid": {}},
     "ms": {"run": _run_ms, "flags": {"--input": None}, "tol": {}, "grid": {}},
     "threshold": {"run": _run_threshold, "flags": {"--input": None},
                   "tol": {"tangential_rtol": (1e-6, *_POSITIVE)}, "grid": {}},

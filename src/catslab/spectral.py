@@ -4,7 +4,10 @@ Periodic samples sit on ``n`` uniform nodes of [0, period) with no duplicated
 endpoint.  On them the trapezoid rule is the plain mean times the period and
 is spectrally accurate for smooth integrands; derivatives and antiderivatives
 act on the trigonometric interpolant through the FFT.  Non-periodic
-directions use Gauss-Legendre rules mapped to [a, b].
+directions use Gauss-Legendre rules mapped to [a, b].  Both converge
+exponentially on analytic integrands, so ``refined`` picks a node count by
+one doubling test: a count is accepted once it agrees with half or twice
+itself.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,3 +97,23 @@ def gauss_legendre(n: int, a: float, b: float):
     nodes, weights = _legendre(n)
     return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
+
+def refined(rule, floor: int, cap: int, rtol: float, name: str):
+    """``(value, n)`` for the first n of floor, 2*floor, ... up to ``cap``
+    where ``rule(n)``, which returns ``(value, relative disagreement)``
+    between the n-node result and the rule at half or twice n, disagrees by
+    at most ``rtol``.  A NaN disagreement is never accepted.  At ``cap``
+    raises ResolutionError with residuals ``max_relative_disagreement`` and
+    ``name``: the count that was refused.
+    """
+    n = floor
+    while True:
+        value, disagreement = rule(n)
+        if disagreement <= rtol:
+            return value, n
+        if n >= cap:
+            raise ResolutionError(
+                f"quadrature did not converge by {name} = {n}",
+                {"max_relative_disagreement": float(disagreement), name: n},
+            )
+        n = min(2 * n, cap)

@@ -49,7 +49,7 @@ from .errors import DataInvalidError, ResolutionError, check_index, check_number
 from .geometry import CatenoidPiece, Slab
 from .rootfind import bracketed_root
 from .spectral import TWO_PI, cumulative_integral, fourier_derivative, gauss_legendre
-from .spectral import periodic_integral, periodic_nodes
+from .spectral import periodic_integral, periodic_nodes, refined
 
 _SCHEMA_VERSION = 1
 # residue conditions: each loop-integral residual at most this times F3
@@ -453,6 +453,7 @@ class LevelProfile:
     second_derivative: np.ndarray
     flux_vertical: float
     mu: float
+    n_theta: int  # angles of the accepted quadrature, whose lengths are on twice as many
     skipped: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -470,7 +471,7 @@ class LevelProfile:
 
 
 def level_profile(
-    data: WeierstrassData, levels: int = 33, *, n_theta: int = 512, quadrature_rtol: float = 1e-8
+    data: WeierstrassData, levels: int = 33, *, quadrature_rtol: float = 1e-8
 ) -> LevelProfile:
     """Level-length profile L(t) with the exact circle integral for L''(t)
     (module docstring) at every level, edges included.
@@ -479,36 +480,40 @@ def level_profile(
     the grid are skipped and recorded (L'' is continuous across such circles
     but the integrand loses smoothness, so nothing is extrapolated through
     them).
-    Quadrature is accepted only if doubling the ``n_theta`` angles moves no
-    length by more than ``quadrature_rtol`` relatively.  One grid at the
-    doubled count is evaluated; its even nodes are the ``n_theta`` grid.
+    The angle count n_theta is chosen here: starting from 512 it doubles
+    until the lengths on n_theta angles and on 2*n_theta agree to
+    ``quadrature_rtol`` relatively at every kept level, and the lengths on
+    2*n_theta are returned.  One grid at the doubled count is evaluated; its
+    even nodes are the n_theta grid.  ResolutionError where 2048 angles do
+    not agree.
     """
     if check_index(levels, "levels") < 5:
         raise ValueError("need at least 5 levels")
-    if check_index(n_theta, "n_theta") < 1:
-        raise ValueError("need at least 1 angle")
     val = validate(data)
     ts = np.linspace(math.log(data.r_inner), math.log(data.r_outer), levels)
-    # in two halves of the levels: half the peak heap, which glibc grew and trimmed each call
-    rows = [_level_lengths(t, *_level_values(data, t, 2 * n_theta)) for t in np.array_split(ts, 2)]
-    a, b, lengths, _, second = (np.concatenate(parts) for parts in zip(*rows))
 
-    a, b = a[:, ::2], b[:, ::2]  # the n_theta-angle grid
-    scale = max(a.max(), b.max())
-    keep = (a.min(axis=1) > 1e-9 * scale) & (b.min(axis=1) > 1e-9 * scale)
-    skipped = [int(i) for i in np.nonzero(~keep)[0]]
-    ts_kept, lengths, second = ts[keep], lengths[keep], second[keep]
-    if ts_kept.size < 5:
-        raise DataInvalidError("too few usable levels after skipping near-zeros")
+    def rule(n_theta):
+        # in two halves of the levels: half the peak heap, which glibc grew and trimmed each call
+        rows = [_level_lengths(t, *_level_values(data, t, 2 * n_theta)) for t in np.array_split(ts, 2)]
+        a, b, lengths, _, second = (np.concatenate(parts) for parts in zip(*rows))
 
-    lengths_n = periodic_integral(0.5 * (a + b)[keep])
-    disagreement = np.abs(lengths_n - lengths) / np.abs(lengths)
-    if not (disagreement.max() <= quadrature_rtol):
-        raise ResolutionError(
-            "level-length quadrature did not converge",
-            {"max_relative_disagreement": float(disagreement.max()), "n_theta": n_theta},
-        )
-    return LevelProfile(ts_kept, val.mu * ts_kept, lengths, second, val.f3, val.mu, skipped)
+        a, b = a[:, ::2], b[:, ::2]  # the n_theta-angle grid
+        scale = max(a.max(), b.max())
+        keep = (a.min(axis=1) > 1e-9 * scale) & (b.min(axis=1) > 1e-9 * scale)
+        skipped = [int(i) for i in np.nonzero(~keep)[0]]
+        ts_kept, lengths, second = ts[keep], lengths[keep], second[keep]
+        if ts_kept.size < 5:
+            raise DataInvalidError("too few usable levels after skipping near-zeros")
+
+        lengths_n = periodic_integral(0.5 * (a + b)[keep])
+        disagreement = np.abs(lengths_n - lengths) / np.abs(lengths)
+        return (ts_kept, lengths, second, skipped), disagreement.max()
+
+    (ts_kept, lengths, second, skipped), n_theta = refined(
+        rule, 512, 2048, quadrature_rtol, "n_theta"
+    )
+    return LevelProfile(ts_kept, val.mu * ts_kept, lengths, second, val.f3, val.mu,
+                        n_theta, skipped)
 
 
 @dataclass

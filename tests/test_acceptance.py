@@ -233,7 +233,8 @@ def test_criterion_9_infrastructure(tmp_path, capsys):
         bad.write_text("{broken")
         assert cli.main(["annulus", "--input", str(bad)]) == 3
         wiggly = tmp_path / "wiggly.json"
-        wiggly.write_text(wz.to_json(wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)))
-        assert cli.main(["annulus", "--input", str(wiggly), "--grid", "n_theta=8"]) == 4
+        c = 1.25**-3 * (1 - 0.003)  # g = z + c z^4 nearly vanishes on the outer circle
+        wiggly.write_text(wz.to_json(wz.WeierstrassData({1: 1.0, 4: c}, {-1: 1.0}, 0.8, 1.25)))
+        assert cli.main(["annulus", "--input", str(wiggly)]) == 4
         assert cli.main(["lambda0"]) == 0
         capsys.readouterr()

@@ -22,10 +22,8 @@ def cat_data():
 
 
 _INTEGER_CALLS = {
-    "n_height": lambda data: geo.area_by_quadrature(UNIT, 2.5),
     "mesh": lambda data: st_mod.lowest_jacobi_eigenvalue(UNIT, mesh=1024.5),
     "levels": lambda data: wz.level_profile(data, 5.5),
-    "n_theta": lambda data: wz.level_profile(data, 9, n_theta=64.5),
     "grid_spec": lambda data: wz.immerse(data, (64.5, 256)),
     "level_index": lambda data: wz.second_derivative_decomposition(
         wz.immerse(data, (8, 64)), 1.5
@@ -42,13 +40,6 @@ _INTEGER_CALLS = {
 def test_integer_arguments_refuse_floats(cat_data, name):
     with pytest.raises(ValueError, match=f"{name}.* must be an int"):
         _INTEGER_CALLS[name](cat_data)
-
-
-@pytest.mark.parametrize("n_theta", [0, -4])
-def test_level_profile_refuses_no_angles(cat_data, n_theta):
-    # 0 raised ZeroDivisionError, -4 numpy's "Number of samples, -8, ..."
-    with pytest.raises(ValueError, match="at least 1 angle"):
-        wz.level_profile(cat_data, 9, n_theta=n_theta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -100,6 +100,11 @@ def test_stdout_matches_golden(name, tmp_path, monkeypatch):
     assert _stdout(name, tmp_path) == _golden_path(name).read_text()
 
 
+def test_golden_directory_holds_exactly_the_cases():
+    # a renamed or dropped case must not leave its recording behind
+    assert sorted(GOLDEN.iterdir()) == sorted(_golden_path(name) for name in CASES)
+
+
 def test_in_process_blas_runs_one_thread(tmp_path):
     # conftest.py pins one BLAS thread before numpy loads; the last bits of
     # lambda1 depend on the thread count on most curves (not on this one)

@@ -25,6 +25,8 @@ class TestSlab:
             Slab(1.0, 1.0)
         with pytest.raises(ValueError):
             Slab(2.0, -1.0)
+        with pytest.raises(ValueError, match=r"slab \[0.0, 1e-310\].*below the normal doubles"):
+            Slab(0.0, 1e-310)
 
     def test_reduction_roundtrip(self):
         piece = CatenoidPiece(0.7, 0.9, Slab(0.5, 3.5))
@@ -176,6 +178,13 @@ class TestArea:
         assert geo.area_in_slab(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-12)
         assert geo.area_by_quadrature(thin) == pytest.approx(2.0 * PI * 1e-162, rel=1e-8)
 
+    @pytest.mark.parametrize("scale, height", [(1e10, 1e-300), (1e300, 1e-10)])
+    def test_closed_form_where_the_canonical_scale_overflows(self, scale, height):
+        # scale / (height / 2) leaves the doubles; the band 2 pi * scale * height does not
+        piece = CatenoidPiece(scale, 0.0, Slab(0.0, height))
+        assert geo.area_in_slab(piece) == pytest.approx(2.0 * PI * scale * height, rel=1e-14)
+        assert geo.area_by_quadrature(piece) == pytest.approx(2.0 * PI * scale * height, rel=1e-12)
+
     @pytest.mark.parametrize("height", [1e-9, 1e-12, 1e-14])
     def test_quadrature_on_slabs_thinner_than_its_step(self, height):
         # the height stencil stays central past the slab ends, so the radial
@@ -219,12 +228,12 @@ def test_quadrature_agrees_with_the_stacked_stencil():
         with np.errstate(all="ignore"):
             stacked = orc.area_by_stacked_stencil(piece, n_height, n_theta)
         if math.isfinite(stacked):
-            quad = geo.area_by_quadrature(piece, n_height)
+            quad = geo._gauss_area(piece, n_height)
             assert abs(quad / stacked - 1) <= 1e-10, (piece, n_height)
             finite += 1
         else:
             with pytest.raises(ConvergenceError):
-                geo.area_by_quadrature(piece, n_height)
+                geo._gauss_area(piece, n_height)
     assert 600 <= finite < 1024  # both branches are exercised
 
 
@@ -238,6 +247,13 @@ def test_quadrature_agrees_with_the_stacked_stencil():
 @example(scale=1e-170, offset=0.0, low=-1.0, height=2.0, n_height=64)
 @example(scale=1.0, offset=0.0, low=0.0, height=1e-162, n_height=2)
 @example(scale=0.01, offset=0.0, low=-3.59, height=7.18, n_height=64)
+# half heights below the normal doubles: refused by Slab
+@example(scale=1.0, offset=0.0, low=0.0, height=5e-324, n_height=64)
+@example(scale=1.0, offset=0.0, low=0.0, height=1e-323, n_height=64)
+@example(scale=1.0, offset=0.0, low=0.0, height=1e-310, n_height=64)
+# the canonical scale overflows, the area does not
+@example(scale=1e10, offset=0.0, low=0.0, height=1e-300, n_height=64)
+@example(scale=1e300, offset=0.0, low=0.0, height=1e-10, n_height=64)
 def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, n_height):
     # finite, or +inf from the closed form where it overflows; otherwise a
     # ConvergenceError or ValueError; never NaN and never a warning
@@ -245,7 +261,8 @@ def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, n_
         piece = CatenoidPiece(scale, offset, Slab(low, low + height))
     except ValueError:
         assume(False)
-    for area in (geo.area_in_slab, lambda p: geo.area_by_quadrature(p, n_height)):
+    for area in (geo.area_in_slab, geo.area_by_quadrature,
+                 lambda p: geo._gauss_area(p, n_height)):
         try:
             value = area(piece)
         except (ConvergenceError, ValueError):

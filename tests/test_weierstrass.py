@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -119,12 +120,23 @@ def _laurent_tables():
     )
 
 
-@given(g=_laurent_tables(), h=_laurent_tables(), r_inner=magnitudes(), ratio=magnitudes())
-@example(g=[[1, 1.0, 0.0]], h=[[-1, 1.0, 0.0]], r_inner=1 / E, ratio=E * E - 1.0)  # a catenoid
-def test_any_document_validates_or_refuses(g, h, r_inner, ratio):
+@given(g=_laurent_tables(), h=_laurent_tables(), r_inner=magnitudes(), ratio=magnitudes(),
+       balanced=st.booleans())
+@example(g=[[1, 1.0, 0.0]], h=[[-1, 1.0, 0.0]], r_inner=1 / E, ratio=E * E - 1.0,
+         balanced=False)  # a catenoid
+def test_any_document_validates_or_refuses(g, h, r_inner, ratio, balanced):
     # a validation with finite fields, or DataInvalidError (a ValueError);
     # never NaN, another exception or a warning
-    doc = {"version": 1, "g": g, "h": h, "r_inner": r_inner, "r_outer": r_inner * (1.0 + ratio)}
+    r_outer = r_inner * (1.0 + ratio)
+    if balanced:
+        # h's three lowest terms meet the residue conditions for the drawn g,
+        # whose reciprocal is expanded on |z| = 1: so the annulus is about it
+        r_inner, r_outer = (1.0 + ratio) ** -0.5, (1.0 + ratio) ** 0.5
+        g_coeffs, h_coeffs = ({p: complex(re, im) for p, re, im in t} for t in (g, h))
+        with np.errstate(all="ignore"), contextlib.suppress(ValueError, np.linalg.LinAlgError):
+            data = wz.adjust_height_for_periods(g_coeffs, h_coeffs, 1.0, r_inner, r_outer)
+            h = [[p, c.real, c.imag] for p, c in data.h_coeffs.items()]
+    doc = {"version": 1, "g": g, "h": h, "r_inner": r_inner, "r_outer": r_outer}
     try:
         val = wz.validate(wz.from_document(doc))
     except ValueError:
@@ -245,7 +257,8 @@ class TestImmersion:
 
 class TestLevelProfile:
     def test_catenoid_closed_form(self, cat_data):
-        prof = wz.level_profile(cat_data, 33, n_theta=512)
+        prof = wz.level_profile(cat_data, 33)
+        assert prof.n_theta == 512
         expected = TWO_PI * np.cosh(prof.log_radii)
         assert np.abs(prof.lengths - expected).max() <= 1e-10
         assert np.abs(prof.heights - prof.log_radii).max() <= 1e-12
@@ -280,9 +293,39 @@ class TestLevelProfile:
         assert wz.convexity_check(prof).min_slack >= 0.0
 
     def test_resolution_error(self):
-        data = wz.WeierstrassData({1: 1.0, 5: 0.3}, {-1: 1.0}, 0.8, 1.25)
-        with pytest.raises(ResolutionError):
-            wz.level_profile(data, 9, n_theta=8)
+        # g = z + c z^4 nearly vanishes on the outer circle: 2048 angles
+        # still disagree with 4096 by 1.5e-4 there
+        data = wz.WeierstrassData({1: 1.0, 4: 1.25**-3 * (1 - 0.003)}, {-1: 1.0}, 0.8, 1.25)
+        with pytest.raises(ResolutionError) as err:
+            wz.level_profile(data)
+        assert err.value.residuals["n_theta"] == 2048
+        assert 1e-4 < err.value.residuals["max_relative_disagreement"] < 2e-4
+
+
+# expected outcome of each of the first 40 draws of default_rng(11) at
+# perturbation 0.2, vertical and random data alternating: the accepted angle
+# count, or None for a ResolutionError at the cap of 2048
+_STRESS_OUTCOMES = [
+    512, None, None, 512, 512, 2048, 512, 512, 512, 512,
+    512, 2048, 512, 1024, 512, 512, 512, 1024, 512, None,
+    512, 2048, 512, 512, 512, 512, 512, 512, 2048, 512,
+    512, 512, 512, 512, 512, 512, 512, None, 512, 1024,
+]
+
+
+def test_stress_corpus_outcomes(monkeypatch):
+    # data five times as far from the catenoid as the shipped draws
+    monkeypatch.setattr(wz, "_PERTURBATION", 0.2)
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for i in range(len(_STRESS_OUTCOMES)):
+        data = (wz.vertical_annulus_data if i % 2 == 0 else wz.random_annulus_data)(rng)
+        try:
+            outcomes.append(wz.level_profile(data).n_theta)
+        except ResolutionError as err:
+            assert err.residuals["n_theta"] == 2048
+            outcomes.append(None)
+    assert outcomes == _STRESS_OUTCOMES
 
 
 class TestConvexity:
