@@ -27,12 +27,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import geometry, ovals, stability, thresholds, weierstrass
+# the scalar modes need neither numpy nor the array modules, which the
+# annulus and oval handlers import when they run
+from . import geometry, stability, thresholds
 from .errors import ConvergenceError, DataInvalidError, check_numbers
 
 _SWEEP_MAX_ROWS = 100_000
@@ -142,6 +141,8 @@ def _render(payload: dict, rows: list | None, fmt: str) -> str:
 
 
 def _write_atomic(path: str, text: str):
+    import tempfile  # it loads random and shutil, which no other path needs
+
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catslab-")
@@ -279,13 +280,17 @@ def _run_threshold(doc, *, tangential_rtol):
     result = thresholds.spanning_catenoids(
         lower, upper, slab, tangential_rtol=tangential_rtol
     )
+    # F overflows a double below lower lengths of about 0.0176; its log does not
+    finite = math.isfinite(result.threshold_upper)
+    threshold = ({"threshold_upper": result.threshold_upper} if finite
+                 else {"log_threshold_upper": result.log_threshold_upper})
     payload = {
         "lower_length": lower,
         "upper_length": upper,
         "slab": [slab.h_minus, slab.h_plus],
         "count": len(result),
         "tangential": result.tangential,
-        "threshold_upper": result.threshold_upper,
+        **threshold,
         "l_crit": thresholds.l_crit(slab),
         "solutions": [
             {"scale": lam, "offset": c} for lam, c in result.parameters
@@ -298,17 +303,29 @@ def _run_threshold(doc, *, tangential_rtol):
     return payload, None
 
 
+def _sweep_grid(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` values from lo to hi with numpy.linspace's arithmetic, bit
+    for bit: lo + i*step with step = (hi - lo)/(count - 1), the last value
+    hi itself, and (i/(count - 1))*(hi - lo) where the step underflows."""
+    if count < 2:
+        return [lo] * count
+    div, delta = count - 1, hi - lo
+    step = delta / div
+    grid = [lo + (i * step if step else i / div * delta) for i in range(div)]
+    return grid + [hi]
+
+
 def _run_threshold_sweep(sweep, doc):
     _require_keys(doc, {"slab"}, "threshold input")
     slab = _parse_slab(doc)
     lo, hi, count = sweep
     rows = []
-    for L in np.linspace(lo, hi, count):
-        ms = thresholds.ms_piece_for_lower_length(float(L), slab)
+    for L in _sweep_grid(lo, hi, count):
+        ms = thresholds.ms_piece_for_lower_length(L, slab)
         mu1 = stability.jacobi_nu1(ms.unit_piece())
         rows.append(
             {
-                "L_minus": float(L),
+                "L_minus": L,
                 "F": ms.upper_length,
                 "lambda": ms.scale,
                 "offset": ms.offset,
@@ -326,6 +343,8 @@ def _run_threshold_sweep(sweep, doc):
 
 
 def _run_annulus(doc, *, quadrature_rtol, levels):
+    from . import weierstrass
+
     data = weierstrass.from_document(doc)
     val = weierstrass.validate(data)
     profile = weierstrass.level_profile(data, levels, quadrature_rtol=quadrature_rtol)
@@ -363,6 +382,10 @@ def _run_annulus(doc, *, quadrature_rtol, levels):
 
 
 def _run_annulus_trials(seed, *, quadrature_rtol, levels, trials):
+    import numpy as np
+
+    from . import weierstrass
+
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(trials):
@@ -388,6 +411,10 @@ def _run_annulus_trials(seed, *, quadrature_rtol, levels, trials):
 
 
 def _run_oval(doc, *, rtol):
+    import numpy as np
+
+    from . import ovals
+
     _require_keys(doc, {"points", "ellipse", "circle", "n"}, "oval input")
     if "points" in doc and "n" in doc:
         raise DataInvalidError("'n' samples an ellipse or a circle; 'points' take none")
@@ -534,13 +561,20 @@ def _arguments(config: RunConfig) -> tuple[list, dict]:
     return args, knobs
 
 
+def _linalg_errors() -> tuple:
+    """numpy's LinAlgError where numpy is loaded: only then can it be raised.
+    It subclasses ValueError, so it is caught before the exit-3 clause."""
+    numpy = sys.modules.get("numpy")
+    return () if numpy is None else (numpy.linalg.LinAlgError,)
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     try:
         args, knobs = _arguments(config)
         payload, rows = _KNOBS[config.mode]["run"](*args, **knobs)
         text = _render(payload, rows, config.format)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, *_linalg_errors()) as exc:
         residuals = _strict(_round15(getattr(exc, "residuals", {})))
         dump = {"error": str(exc), "residuals": residuals}
         print(json.dumps(dump, sort_keys=True, allow_nan=False), file=sys.stderr)

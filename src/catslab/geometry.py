@@ -20,11 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .rootfind import bracketed_root
-from .spectral import TWO_PI, gauss_legendre, refined
 
 # central-difference step of the quadrature's radial slope, times the scale
 _STENCIL_STEP = 1e-5
@@ -126,6 +123,8 @@ def reduce_to_canonical(piece: CatenoidPiece) -> tuple[CatenoidPiece, float, flo
 
 def _radius(piece: CatenoidPiece, h):
     """Radius lam*cosh((h - t)/lam) of the slice circle at height(s) ``h``."""
+    import numpy as np
+
     return piece.scale * np.cosh((h - piece.offset) / piece.scale)
 
 
@@ -135,6 +134,8 @@ def parameterize(piece: CatenoidPiece, h, theta) -> np.ndarray:
     Returns an array with shape ``broadcast(h, theta) + (3,)``.  Heights outside
     the closed slab raise ValueError.
     """
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(h < piece.slab.h_minus) or np.any(h > piece.slab.h_plus):
@@ -151,37 +152,51 @@ def area_in_slab(piece: CatenoidPiece) -> float:
     On the canonical slab this is ``pi*lam^2*cosh(2t/lam)*sinh(2/lam) + 2*pi*lam``;
     general slabs go through the canonical reduction (area scales by c^2).
     Where c^2 or lam^2 alone leaves the doubles, the terms are grouped by the
-    scale c*lam instead; where a factor overflows on the way, the area is
-    taken in log form.  Where the canonical scale lam/c itself overflows,
-    sinh(2c/lam) = 2c/lam to the last bit, and the area is taken on the
-    slab as given: 2*pi*lam*c*(1 + cosh(2(t - m)/lam)).  Returns inf only
-    where the area itself overflows.
+    scale c*lam instead; where a factor overflows on the way, or the
+    canonical offset t does, the area is taken in log form.  Where the
+    canonical scale lam/c itself overflows, sinh(2c/lam) = 2c/lam to the last
+    bit, and the area is taken on the slab as given:
+    2*pi*lam*c*(1 + cosh(2(t - m)/lam)).  Returns inf only where the area
+    itself overflows.
     """
-    c = piece.slab.half_height
+    c, m = piece.slab.half_height, piece.slab.midpoint
     if piece.scale / c == math.inf:
-        band = TWO_PI * piece.scale * c
-        u = 2.0 * (piece.offset - piece.slab.midpoint) / piece.scale
+        band = math.tau * piece.scale * c
+        u = 2.0 * (piece.offset - m) / piece.scale
         growth = _cosh(u)
         if growth < math.inf:
             return band + band * growth
         with contextlib.suppress(OverflowError):  # cosh u overflows, perhaps not the area
             return band + math.exp(math.log(band) + _log_cosh(u))
         return math.inf
+    if abs((piece.offset - m) / c) == math.inf:
+        # the canonical offset t overflows, 2t/lam = 2(t - m)/scale need not:
+        # it is taken from (t - m)/2, which does not overflow either
+        u = 4.0 * (0.5 * piece.offset - 0.5 * m) / piece.scale
+        return _area_from_logs(c, piece.scale / c, u)
     canonical, c, _ = reduce_to_canonical(piece)
     lam, t = canonical.scale, canonical.offset
     growth = _cosh(2.0 * t / lam) * _sinh(2.0 / lam)
-    area = c * c * (math.pi * lam * lam * growth + TWO_PI * lam)
+    area = c * c * (math.pi * lam * lam * growth + math.tau * lam)
     if math.isnan(area):  # 0 * inf: c^2 or lam^2 left the doubles, c*lam did not
         scale = c * lam
-        area = math.pi * scale * (scale * growth) + TWO_PI * scale * c
-    if area == math.inf:  # perhaps a factor alone overflowed: sum the terms from their logs
-        log_c, log_lam = math.log(c), math.log(lam)
-        x = 2.0 / lam  # log sinh x = log cosh x + log tanh x
-        log_growth = _log_cosh(2.0 * t / lam) + _log_cosh(x) + math.log(math.tanh(x))
-        with contextlib.suppress(OverflowError):  # else the area itself overflows
-            area = (math.exp(math.log(math.pi) + 2.0 * (log_c + log_lam) + log_growth)
-                    + math.exp(math.log(TWO_PI) + log_lam + 2.0 * log_c))
+        area = math.pi * scale * (scale * growth) + math.tau * scale * c
+    if area == math.inf:  # perhaps a factor alone overflowed
+        area = _area_from_logs(c, lam, 2.0 * t / lam)
     return area
+
+
+def _area_from_logs(c: float, lam: float, u: float) -> float:
+    """c^2 (pi lam^2 cosh(u) sinh(2/lam) + 2 pi lam), the area of a canonical
+    piece of scale lam with u = 2t/lam, summed from the logs of its factors,
+    which may be subnormal or overflow; inf where the area overflows."""
+    log_c, log_lam = math.log(c), math.log(lam)
+    x = 2.0 / lam  # log sinh x = log cosh x + log tanh x
+    log_growth = _log_cosh(u) + _log_cosh(x) + math.log(math.tanh(x))
+    with contextlib.suppress(OverflowError):
+        return (math.exp(math.log(math.pi) + 2.0 * (log_c + log_lam) + log_growth)
+                + math.exp(math.log(math.tau) + log_lam + 2.0 * log_c))
+    return math.inf
 
 
 def area_by_quadrature(piece: CatenoidPiece) -> float:
@@ -201,6 +216,8 @@ def area_by_quadrature(piece: CatenoidPiece) -> float:
     the catenoid), a stencil radius overflows, or the area element or its
     weighted sum does.
     """
+    from .spectral import refined
+
     def rule(n):
         area, half = _gauss_area(piece, n), _gauss_area(piece, n // 2)
         # an area that underflows to zero is compared against the smallest double
@@ -211,6 +228,10 @@ def area_by_quadrature(piece: CatenoidPiece) -> float:
 
 def _gauss_area(piece: CatenoidPiece, n: int) -> float:
     """``area_by_quadrature`` with the n-point Gauss-Legendre rule."""
+    import numpy as np
+
+    from .spectral import gauss_legendre
+
     hs, w_h = gauss_legendre(n, piece.slab.h_minus, piece.slab.h_plus)
     dh = _STENCIL_STEP * piece.scale
     heights = np.stack([hs, hs + dh, hs - dh])
@@ -221,7 +242,7 @@ def _gauss_area(piece: CatenoidPiece, n: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         r, r_p, r_m = radii = _radius(piece, heights)
         slope = (r_p - r_m) / step
-        area = TWO_PI * float((w_h * r * np.hypot(1.0, slope)).sum())
+        area = math.tau * float((w_h * r * np.hypot(1.0, slope)).sum())
     if math.isfinite(area):
         return area
     if not np.isfinite(radii).all():
@@ -235,8 +256,8 @@ def _gauss_area(piece: CatenoidPiece, n: int) -> float:
 def boundary_length(piece: CatenoidPiece) -> float:
     """Total length of the two boundary circles on the slab planes."""
     lam, t = piece.scale, piece.offset
-    upper = TWO_PI * lam * _cosh((piece.slab.h_plus - t) / lam)
-    lower = TWO_PI * lam * _cosh((piece.slab.h_minus - t) / lam)
+    upper = math.tau * lam * _cosh((piece.slab.h_plus - t) / lam)
+    lower = math.tau * lam * _cosh((piece.slab.h_minus - t) / lam)
     return upper + lower
 
 
@@ -246,14 +267,14 @@ def level_length(piece: CatenoidPiece, height: float) -> float:
         raise ValueError(
             f"height {height} outside closed slab [{piece.slab.h_minus}, {piece.slab.h_plus}]"
         )
-    return TWO_PI * piece.scale * _cosh((height - piece.offset) / piece.scale)
+    return math.tau * piece.scale * _cosh((height - piece.offset) / piece.scale)
 
 
 def vertical_flux(scale: float) -> float:
     """Vertical flux component of the scale-``scale`` vertical catenoid (neck length)."""
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive, got {scale}")
-    return TWO_PI * scale
+    return math.tau * scale
 
 
 @functools.lru_cache(maxsize=None)

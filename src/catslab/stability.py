@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConvergenceError, check_index
 from .geometry import CatenoidPiece, Slab
 from .rootfind import bracketed_root
@@ -97,6 +95,8 @@ def dilation_jacobi_field(apex_height: float, height) -> float | np.ndarray:
     """
     if not math.isfinite(apex_height):
         raise ValueError(f"apex_height must be finite, got {apex_height!r}")
+    import numpy as np
+
     h = np.asarray(height, dtype=float)
     if not np.isfinite(h).all():
         raise ValueError("height must be finite")
@@ -217,6 +217,7 @@ def lowest_jacobi_eigenvalue(
     if method != "fd":
         raise ValueError(f"unknown method {method!r}: only 'fd' is available")
     a, b = piece.slab.h_minus, piece.slab.h_plus
+    import numpy as np
 
     nodes = np.linspace(a, b, mesh + 1)
     s = nodes[1:-1]

@@ -25,6 +25,7 @@ pair has exactly 0, 1 (tangential) or 2 solutions, one on each side of it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from .errors import ConvergenceError
 from .geometry import CatenoidPiece, Slab, _cosh, _log_cosh
 from .rootfind import bracketed_root
-from .spectral import TWO_PI
 from .stability import _tangency_positive, cat_ms, tangent_cone_heights
 
 
@@ -54,7 +54,7 @@ class MsSolution:
 def _log_length(lam: float, c: float, height: float) -> float:
     """log(2*pi*lam*cosh((height - c)/lam)), the log length of a boundary
     circle: thin catenoids have circles whose length overflows a double."""
-    return math.log(TWO_PI * lam) + _log_cosh((height - c) / lam)
+    return math.log(math.tau * lam) + _log_cosh((height - c) / lam)
 
 
 def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
@@ -78,7 +78,7 @@ def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
         # log(l/L), strictly decreasing on t_minus < 0: one log of a ratio near
         # 1 at the root; cosh overflows only where l exceeds every double
         lam = slab.height / (t_plus(t_minus) - t_minus)
-        return math.log(TWO_PI * lam * _cosh(t_minus) / lower_length)
+        return math.log(math.tau * lam * _cosh(t_minus) / lower_length)
 
     def fprime(t_minus: float) -> float:
         tp = t_plus(t_minus)
@@ -100,8 +100,11 @@ def ms_piece_for_lower_length(lower_length: float, slab: Slab) -> MsSolution:
     tp = t_plus(t_minus)
     lam = slab.height / (tp - t_minus)
     c = slab.h_minus - lam * t_minus
-    lower = TWO_PI * lam * _cosh(t_minus)
-    upper = TWO_PI * lam * _cosh(tp)
+    lower = math.tau * lam * _cosh(t_minus)
+    upper = math.tau * lam * _cosh(tp)
+    if upper == math.inf:  # cosh overflows first, perhaps not the length
+        with contextlib.suppress(OverflowError):
+            upper = math.exp(math.log(math.tau * lam) + _log_cosh(tp))
     rel = abs(lower - lower_length) / lower_length
     if rel > 1e-10:
         raise ConvergenceError(
@@ -115,7 +118,7 @@ def f_omega(lower_length: float, slab: Slab) -> float:
     """Threshold upper length: minimal upper boundary length admitting a
     clipped vertical catenoid with the given lower boundary length; +inf
     where it leaves the doubles (below lower lengths of about 0.0176 on the
-    slab [-1, 1])."""
+    slab [-1, 1]); ``spanning_catenoids`` carries its log."""
     return ms_piece_for_lower_length(lower_length, slab).upper_length
 
 
@@ -124,16 +127,18 @@ def l_crit(slab: Slab) -> float:
     piece; +inf where it leaves the doubles (slab heights above about 1e307)."""
     ct = tangent_cone_heights(0.0)
     lam = slab.height / (ct.t_plus - ct.t_minus)
-    return TWO_PI * lam * (_cosh(ct.t_minus) + _cosh(ct.t_plus))
+    return math.tau * lam * (_cosh(ct.t_minus) + _cosh(ct.t_plus))
 
 
 @dataclass
 class SpanningResult:
-    """Solutions of the boundary-length system, with the tangential-case flag."""
+    """Solutions of the boundary-length system, with the tangential-case flag
+    and the threshold F, whose log stays finite where F overflows a double."""
 
     parameters: list[tuple[float, float]]  # (scale, offset) per solution
     tangential: bool
     threshold_upper: float
+    log_threshold_upper: float
     residuals: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -163,6 +168,7 @@ def spanning_catenoids(
             raise ValueError(f"boundary lengths must be positive and finite, got {length}")
     ms = ms_piece_for_lower_length(lower_length, slab)
     threshold = ms.upper_length
+    log_threshold = _log_length(ms.scale, ms.offset, slab.h_plus)
     log_lower, log_upper = math.log(lower_length), math.log(upper_length)
 
     def relative_residual(lam: float, c: float) -> float:
@@ -171,16 +177,16 @@ def spanning_catenoids(
 
     # U/F - 1 from log F: F overflows a double below lower lengths of about
     # 0.0176, and U/F may too (capped at e^709, where only its sign is read)
-    upper_rel = math.expm1(min(log_upper - _log_length(ms.scale, ms.offset, slab.h_plus), 709.0))
+    upper_rel = math.expm1(min(log_upper - log_threshold, 709.0))
     if abs(upper_rel) <= tangential_rtol:
         residual = relative_residual(ms.scale, ms.offset)
-        return SpanningResult([(ms.scale, ms.offset)], True, threshold, [residual])
+        return SpanningResult([(ms.scale, ms.offset)], True, threshold, log_threshold, [residual])
     if upper_rel < 0.0:
-        return SpanningResult([], False, threshold)
+        return SpanningResult([], False, threshold, log_threshold)
 
     def f(t: float) -> float:
         # log(upper length / L_plus); past overflow 1/lam is inf and so is f
-        log_inv_lam = math.log(TWO_PI) + _log_cosh(t) - log_lower
+        log_inv_lam = math.log(math.tau) + _log_cosh(t) - log_lower
         inv_lam = math.exp(log_inv_lam) if log_inv_lam < 709.0 else math.inf
         return log_lower - _log_cosh(t) + _log_cosh(t + slab.height * inv_lam) - log_upper
 
@@ -203,10 +209,10 @@ def spanning_catenoids(
             )
         t = bracketed_root(f, min(t_fold, edge), max(t_fold, edge), residual_tol=residual_tol)
         if abs(t) < 700.0:
-            lam = lower_length / (TWO_PI * math.cosh(t))
+            lam = lower_length / (math.tau * math.cosh(t))
         else:  # cosh(t) overflows past 710
-            lam = math.exp(log_lower - math.log(TWO_PI) - _log_cosh(t))
+            lam = math.exp(log_lower - math.log(math.tau) - _log_cosh(t))
         parameters.append((lam, slab.h_minus - lam * t))
     parameters.sort()
     residuals = [relative_residual(lam, c) for lam, c in parameters]
-    return SpanningResult(parameters, False, threshold, residuals)
+    return SpanningResult(parameters, False, threshold, log_threshold, residuals)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catslab import cli, weierstrass as wz
@@ -189,6 +189,24 @@ def _outside_knobs(mode, input_path):
                 if key not in row[kind] and key != selector:
                     knobs.append([f"--{kind}", f"{key}={default}"])
     return knobs
+
+
+@st.composite
+def inside_knobs(draw, mode):
+    """A --tol or --grid argument for every key of ``mode``'s row, each with
+    a value inside its bounds.  trials is drawn from 1 and 2 only: each trial
+    is a full level profile, and 10,000 of them take minutes."""
+    args = []
+    for kind in ("tol", "grid"):
+        for key, (_, lo, hi) in cli._KNOBS[mode][kind].items():
+            if key == "trials":
+                value = draw(st.integers(1, 2))
+            elif kind == "tol":
+                value = draw(st.floats(lo, hi))
+            else:
+                value = draw(st.integers(lo, hi))
+            args += [f"--{kind}", f"{key}={value!r}"]
+    return args
 
 
 @pytest.fixture(scope="module")
@@ -392,14 +410,20 @@ class TestThresholdCommand:
         assert code == 3 and out == ""
         assert "finite" in err
 
-    def test_overflowing_threshold_exits_4(self, tmp_path, capsys):
-        # F(0.01) is beyond the double range, which strict JSON cannot hold
+    def test_overflowing_threshold_prints_its_log(self, tmp_path, capsys):
+        # F(0.01) is beyond the double range, which strict JSON cannot hold;
+        # its log takes its place
         spec = tmp_path / "q.json"
         spec.write_text(json.dumps({"lower_length": 0.01, "upper_length": 1.0}))
-        code, out, err = run_cli(["threshold", "--input", str(spec)], capsys)
+        code, out, _ = run_cli(["threshold", "--input", str(spec)], capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert "threshold_upper" not in doc and doc["count"] == 0
+        assert doc["log_threshold_upper"] == pytest.approx(1251.33834586515, rel=1e-13)
+        # the sweep has no log column: a row whose F overflows exits 4
+        code, out, err = run_cli(["threshold", "--sweep", "0.005:0.02:4"], capsys)
         assert code == 4 and out == ""
-        dump = strict_json(err)
-        assert dump["residuals"]["threshold_upper"] == "inf" and dump["residuals"]["count"] == 0
+        assert strict_json(err)["residuals"]["table"][0]["F"] == "inf"
 
     def test_huge_upper_length_reports_two_solutions(self, tmp_path, capsys):
         # a finite pair whose solutions' upper circles are near the double's limit
@@ -421,6 +445,32 @@ class TestThresholdCommand:
         assert_exits_cleanly_and_repeats(
             tmp_path_factory, "threshold", document, ["--sweep=" + spec]
         )
+
+
+@st.composite
+def sweep_ranges(draw):
+    """(lo, hi, count) with lo over the sweep's whole range of start values,
+    subnormals included, hi from lo up (a few ulps above it in one draw of
+    three) and counts up to the sweep's row cap."""
+    lo = draw(st.floats(math.ulp(0.0), sys.float_info.max))
+    ulps = draw(st.integers(0, 4))
+    near = lo + ulps * math.ulp(lo)
+    hi = near if draw(st.integers(0, 2)) == 0 and near < math.inf else draw(
+        st.floats(lo, sys.float_info.max))
+    count = draw(st.integers(1, 5) | st.integers(1, cli._SWEEP_MAX_ROWS))
+    return lo, hi, count
+
+
+@given(spec=sweep_ranges())
+@example(spec=(1.0, 2.0, 1))
+@example(spec=(1.0, 2.0, 2))
+@example(spec=(0.5, 0.5, 7))
+@example(spec=(5e-324, 1e-323, 3))  # the step underflows to zero
+@example(spec=(5e-324, sys.float_info.max, cli._SWEEP_MAX_ROWS))
+def test_sweep_grid_is_linspace(spec):
+    lo, hi, count = spec
+    grid = np.array(cli._sweep_grid(lo, hi, count), dtype=float)
+    assert np.array_equal(grid.view(np.uint64), np.linspace(lo, hi, count).view(np.uint64))
 
 
 class TestAnnulusCommand:
@@ -756,6 +806,20 @@ class TestExitCodes:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(plain + knob)
         assert (code, out.getvalue()) == (2, "")
+
+    @given(data=st.data())
+    def test_any_knob_inside_the_mode_exits_cleanly(self, tmp_path_factory, data):
+        mode = data.draw(st.sampled_from(
+            sorted(mode for mode, row in cli._KNOBS.items() if row["tol"] or row["grid"])))
+        command, *plain = _PLAIN_RUNS[mode]
+        run = [tmp_path_factory, command, _MODE_DOCUMENTS.get(mode),
+               [*plain, *data.draw(inside_knobs(mode))]]
+        code, out = first = _run_document(*run)
+        assert code in (0, 3, 4)
+        assert (code == 0) == bool(out)
+        if out:
+            strict_json(out)
+        assert _run_document(*run) == first
 
     def test_period_tolerance_is_fixed(self, tmp_path, capsys):
         # residual 2 pi * 2e-8 in g dh: 2e-8 * F3, above the fixed 1e-8 * F3

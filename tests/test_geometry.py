@@ -185,6 +185,20 @@ class TestArea:
         assert geo.area_in_slab(piece) == pytest.approx(2.0 * PI * scale * height, rel=1e-14)
         assert geo.area_by_quadrature(piece) == pytest.approx(2.0 * PI * scale * height, rel=1e-12)
 
+    def test_closed_form_where_the_canonical_offset_overflows(self):
+        # (t - m) / (height / 2) leaves the doubles, and sinh(2c/lam) is
+        # subnormal; the area 6.92e-288 is taken from the logs of its factors
+        mpmath = pytest.importorskip("mpmath")
+        piece = CatenoidPiece(1e8, 5e8, Slab(0.0, 2e-300))
+        with pytest.raises(ValueError, match="offset must be finite"):
+            geo.reduce_to_canonical(piece)
+        with mpmath.mp.workdps(40):
+            lam, t, c = mpmath.mpf(1e8), mpmath.mpf(5e8), mpmath.mpf(2e-300) / 2
+            exact = (mpmath.pi * lam**2 * mpmath.cosh(2 * (t - c) / lam) * mpmath.sinh(2 * c / lam)
+                     + 2 * mpmath.pi * lam * c)
+            assert abs(geo.area_in_slab(piece) / exact - 1) <= 1e-12
+        assert geo.area_in_slab(piece) == pytest.approx(geo.area_by_quadrature(piece), rel=1e-10)
+
     @pytest.mark.parametrize("height", [1e-9, 1e-12, 1e-14])
     def test_quadrature_on_slabs_thinner_than_its_step(self, height):
         # the height stencil stays central past the slab ends, so the radial
@@ -254,6 +268,8 @@ def test_quadrature_agrees_with_the_stacked_stencil():
 # the canonical scale overflows, the area does not
 @example(scale=1e10, offset=0.0, low=0.0, height=1e-300, n_height=64)
 @example(scale=1e300, offset=0.0, low=0.0, height=1e-10, n_height=64)
+# the canonical offset overflows, the area does not
+@example(scale=1e8, offset=5e8, low=0.0, height=2e-300, n_height=64)
 def test_area_functions_return_a_number_or_refuse(scale, offset, low, height, n_height):
     # finite, or +inf from the closed form where it overflows; otherwise a
     # ConvergenceError or ValueError; never NaN and never a warning

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -318,39 +319,53 @@ class TestFortyDigitReference:
         # an iteration run to round-off reaches 3e-16
         assert worst <= 1e-13
 
-    def test_ms_piece_for_lower_length(self, mp):
+    def _ms_reference(self, mp, L):
+        """40-digit (scale, offset, apex, t_plus) of the marginally stable
+        piece of lower length L on the canonical slab."""
         H = mp.mpf(CANON.height)
+        ms = th.ms_piece_for_lower_length(L, CANON)
+        t_plus_guess = (CANON.h_plus - ms.offset) / ms.scale
+
+        def t_plus_of(t_minus):
+            return self._t_plus(mp, t_minus - mp.coth(t_minus), t_plus_guess)
+
+        def log_lower(t_minus):
+            lam = H / (t_plus_of(t_minus) - t_minus)
+            return mp.log(2 * mp.pi * lam * mp.cosh(t_minus)) - mp.log(mp.mpf(L))
+
+        def d_log_lower(t_minus):
+            t_plus = t_plus_of(t_minus)
+            dt_plus = (mp.tanh(t_plus) / mp.tanh(t_minus)) ** 2
+            return mp.tanh(t_minus) - (dt_plus - 1) / (t_plus - t_minus)
+
+        t_minus = self._newton(
+            log_lower, d_log_lower, mp.mpf((CANON.h_minus - ms.offset) / ms.scale)
+        )
+        t_plus = t_plus_of(t_minus)
+        lam = H / (t_plus - t_minus)
+        return lam, mp.mpf(CANON.h_minus) - lam * t_minus, t_minus - mp.coth(t_minus), t_plus
+
+    def test_ms_piece_for_lower_length(self, mp):
         worst = dict(scale=0.0, offset=0.0, apex=0.0, upper=0.0)
         for L in np.geomspace(0.04, 1e4, 40):
             ms = th.ms_piece_for_lower_length(float(L), CANON)
-            t_plus_guess = (CANON.h_plus - ms.offset) / ms.scale
-
-            def t_plus_of(t_minus):
-                return self._t_plus(mp, t_minus - mp.coth(t_minus), t_plus_guess)
-
-            def log_lower(t_minus):
-                lam = H / (t_plus_of(t_minus) - t_minus)
-                return mp.log(2 * mp.pi * lam * mp.cosh(t_minus)) - mp.log(mp.mpf(float(L)))
-
-            def d_log_lower(t_minus):
-                t_plus = t_plus_of(t_minus)
-                dt_plus = (mp.tanh(t_plus) / mp.tanh(t_minus)) ** 2
-                return mp.tanh(t_minus) - (dt_plus - 1) / (t_plus - t_minus)
-
-            t_minus = self._newton(
-                log_lower, d_log_lower, mp.mpf((CANON.h_minus - ms.offset) / ms.scale)
-            )
-            t_plus = t_plus_of(t_minus)
-            lam = H / (t_plus - t_minus)
-            ref = dict(
-                scale=lam,
-                offset=mp.mpf(CANON.h_minus) - lam * t_minus,
-                apex=t_minus - mp.coth(t_minus),
-                upper=2 * mp.pi * lam * mp.cosh(t_plus),
-            )
+            lam, offset, apex, t_plus = self._ms_reference(mp, float(L))
+            ref = dict(scale=lam, offset=offset, apex=apex, upper=2 * mp.pi * lam * mp.cosh(t_plus))
             got = dict(scale=ms.scale, offset=ms.offset, apex=ms.apex_height, upper=ms.upper_length)
             for key in worst:
                 worst[key] = max(worst[key], self._rel(got[key], ref[key]))
         print(f"worst relative errors against 40 digits: {worst}")
         assert max(worst["scale"], worst["offset"], worst["apex"]) <= 1e-14
         assert worst["upper"] <= 1e-13
+
+    def test_log_threshold_where_it_overflows(self, mp):
+        # below L of about 0.0176, F leaves the doubles and log F (709 to
+        # 12559 here) carries it; above, it is the log of F
+        worst = 0.0
+        for L in [*np.geomspace(1e-3, 0.0176, 8), 0.02, 1.0, 100.0]:
+            result = th.spanning_catenoids(float(L), 1.0, CANON)
+            lam, _, _, t_plus = self._ms_reference(mp, float(L))
+            ref = mp.log(2 * mp.pi * lam * mp.cosh(t_plus))
+            worst = max(worst, self._rel(result.log_threshold_upper, ref))
+            assert (result.threshold_upper == math.inf) == (ref > mp.log(sys.float_info.max))
+        assert worst <= 1e-13
